@@ -1,14 +1,17 @@
-// Tape vs tape-free inference: the fast path's configs/sec on the DSE
-// workload against the legacy per-head tape path (DseOptions::use_fast_path
-// = false), plus the raw batched-inference comparison. Writes
-// BENCH_fastpath.json; the PR gate expects >= 2x on the DSE sweep.
+// Tape vs tape-free inference: one chunk-shaped batched predict of the
+// main regression head through the autodiff tape forward
+// (Trainer::predict_graphs_tape) and through the tape-free fast path
+// (Trainer::predict_graphs), same inputs. Writes BENCH_fastpath.json with
+// the host's core count, SIMD level and run scale.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "dse/dse.hpp"
+#include "dse/pipeline.hpp"
+#include "util/cpu.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -30,32 +33,6 @@ double median_seconds(int reps, Fn&& fn) {
   return times[times.size() / 2];
 }
 
-struct Comparison {
-  double tape_seconds = 0.0;
-  double fast_seconds = 0.0;
-  double tape_per_sec = 0.0;
-  double fast_per_sec = 0.0;
-  double speedup = 0.0;
-
-  void finish(double units) {
-    tape_per_sec = tape_seconds > 0.0 ? units / tape_seconds : 0.0;
-    fast_per_sec = fast_seconds > 0.0 ? units / fast_seconds : 0.0;
-    speedup = fast_seconds > 0.0 ? tape_seconds / fast_seconds : 0.0;
-  }
-};
-
-void emit(std::ofstream& out, const char* name, const Comparison& c,
-          double units, const char* unit_name, bool last) {
-  out << "  \"" << name << "\": {\n"
-      << "    \"" << unit_name << "\": " << units << ",\n"
-      << "    \"tape_seconds\": " << c.tape_seconds << ",\n"
-      << "    \"fast_seconds\": " << c.fast_seconds << ",\n"
-      << "    \"tape_configs_per_sec\": " << c.tape_per_sec << ",\n"
-      << "    \"fast_configs_per_sec\": " << c.fast_per_sec << ",\n"
-      << "    \"speedup\": " << c.speedup << "\n"
-      << "  }" << (last ? "\n" : ",\n");
-}
-
 }  // namespace
 
 int main() {
@@ -69,8 +46,7 @@ int main() {
                             bench::bundle_cache_prefix());
   model::Trainer* trainer = models.bundle().regression_main;
 
-  // Raw batched inference: one chunk-shaped predict over featurized graphs,
-  // tape vs tape-free, same inputs.
+  // One chunk-shaped batch of featurized mvt configs.
   const kir::Kernel mvt = kernels::make_kernel("mvt");
   const int batch = util::by_scale(256, 1024, 4096);
   const int reps = util::by_scale(3, 5, 7);
@@ -83,65 +59,39 @@ int main() {
   std::vector<const gnn::GraphData*> ptrs;
   for (const auto& g : graphs) ptrs.push_back(&g);
 
-  Comparison inference;
   trainer->predict_graphs(ptrs);  // warm-up (pool, template, workspace)
-  inference.fast_seconds =
+  const double fast_seconds =
       median_seconds(reps, [&] { trainer->predict_graphs(ptrs); });
   trainer->predict_graphs_tape(ptrs);
-  inference.tape_seconds =
+  const double tape_seconds =
       median_seconds(reps, [&] { trainer->predict_graphs_tape(ptrs); });
-  inference.finish(batch);
-  util::log_info("inference tape=", inference.tape_seconds,
-                 "s fast=", inference.fast_seconds, "s");
-
-  // Full DSE sweep (featurize + 3-head predict + rank) over atax's pruned
-  // space — the use_fast_path toggle flips only the scoring path, so the
-  // two runs do identical search work.
-  dse::ModelDse dse(models.bundle(), models.normalizer(), factory);
-  dse::DseOptions dopts;
-  dopts.max_exhaustive = 8'000;
-  dopts.time_limit_seconds = 1e9;  // sweep-bound, not time-bound
-  const kir::Kernel sweep_kernel = kernels::make_kernel("atax");
-  const int dse_reps = reps;  // medians need >1 rep even in FAST mode
-  std::uint64_t dse_configs = 0;
-
-  Comparison sweep;
-  for (bool fast : {true, false}) {
-    dopts.use_fast_path = fast;
-    {  // warm-up (templates, skeletons, workspaces)
-      util::Rng wrng(23);
-      dse.run(sweep_kernel, dopts, wrng);
-    }
-    const double secs = median_seconds(dse_reps, [&] {
-      util::Rng drng(23);
-      dse_configs = dse.run(sweep_kernel, dopts, drng).num_explored;
-    });
-    (fast ? sweep.fast_seconds : sweep.tape_seconds) = secs;
-    util::log_info("dse_sweep fast_path=", fast, " sec=", secs,
-                   " configs=", dse_configs);
-  }
-  sweep.finish(static_cast<double>(dse_configs));
+  const double tape_per_sec = batch / tape_seconds;
+  const double fast_per_sec = batch / fast_seconds;
+  const double speedup = tape_seconds / fast_seconds;
 
   std::ofstream out("BENCH_fastpath.json");
-  out << "{\n";
-  emit(out, "inference", inference, batch, "batch", false);
-  emit(out, "dse_sweep", sweep, static_cast<double>(dse_configs),
-       "configs_per_sweep", true);
-  out << "}\n";
+  out << "{\n"
+      << "  \"host\": {\"cores\": " << std::thread::hardware_concurrency()
+      << ", \"simd\": \""
+      << util::simd_level_name(util::active_simd_level())
+      << "\", \"scale\": \"" << bench::scale_tag() << "\"},\n"
+      << "  \"inference\": {\n"
+      << "    \"batch\": " << batch << ",\n"
+      << "    \"tape_seconds\": " << tape_seconds << ",\n"
+      << "    \"fast_seconds\": " << fast_seconds << ",\n"
+      << "    \"tape_configs_per_sec\": " << tape_per_sec << ",\n"
+      << "    \"fast_configs_per_sec\": " << fast_per_sec << ",\n"
+      << "    \"speedup\": " << speedup << "\n"
+      << "  }\n"
+      << "}\n";
 
   util::Table table("Tape vs fast-path inference");
-  table.header({"stage", "tape s", "fast s", "tape cfg/s", "fast cfg/s",
-                "speedup"});
-  table.row({"inference", util::Table::fmt(inference.tape_seconds, 4),
-             util::Table::fmt(inference.fast_seconds, 4),
-             util::Table::fmt(inference.tape_per_sec, 1),
-             util::Table::fmt(inference.fast_per_sec, 1),
-             util::Table::fmt(inference.speedup, 2)});
-  table.row({"dse_sweep", util::Table::fmt(sweep.tape_seconds, 4),
-             util::Table::fmt(sweep.fast_seconds, 4),
-             util::Table::fmt(sweep.tape_per_sec, 1),
-             util::Table::fmt(sweep.fast_per_sec, 1),
-             util::Table::fmt(sweep.speedup, 2)});
+  table.header({"tape s", "fast s", "tape cfg/s", "fast cfg/s", "speedup"});
+  table.row({util::Table::fmt(tape_seconds, 4),
+             util::Table::fmt(fast_seconds, 4),
+             util::Table::fmt(tape_per_sec, 1),
+             util::Table::fmt(fast_per_sec, 1),
+             util::Table::fmt(speedup, 2)});
   table.print(std::cout);
   std::cout << "wrote BENCH_fastpath.json\n";
   return 0;

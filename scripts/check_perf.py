@@ -32,7 +32,6 @@ GATED_HISTOGRAMS = [
     "dse.predict_chunk_ms",
     "dse.featurize_chunk_ms",
     "dse.frontier_keep_ms",
-    "dse.pipeline.stage_ms",
 ]
 # Rates gated as floors (report >= baseline / ratio).
 GATED_GAUGES = ["dse.sweep_configs_per_sec"]

@@ -21,7 +21,7 @@ Default requirements (the standing pipeline stages):
   counters:     dse.configs_explored, hlssim.evaluations, oracle.misses,
                 gnn.template_misses, gnn.fastpath_forwards
   gauges:       parallel.pool_size, parallel.queue_depth
-  histograms:   dse.pipeline.stage_ms
+  histograms:   dse.predict_chunk_ms
 """
 
 import argparse
@@ -64,11 +64,10 @@ DEFAULT_GAUGES = [
     "tensor.simd_level",
 ]
 
-# Every stage of the sweep engine (featurize / predict / rank) observes
-# into the combined stage histogram; its absence means the DSE loop ran
-# outside the engine entirely.
+# The sweep engine observes every scored chunk's predict time; its
+# absence means the DSE loop ran outside the engine entirely.
 DEFAULT_HISTOGRAMS = [
-    "dse.pipeline.stage_ms",
+    "dse.predict_chunk_ms",
 ]
 
 HISTOGRAM_KEYS = ("count", "sum_ms", "min_ms", "max_ms", "p50_ms", "p95_ms",

@@ -3,10 +3,9 @@
 # -DGNNDSE_TSAN=ON build in build-tsan/, builds the thread-safety suites
 # (test_parallel, test_obs, test_oracle, test_fastpath, test_simd,
 # test_serve, test_sweep), and runs them via `ctest -L tsan`. test_sweep
-# covers the pipelined sweep engine (producer/consumer slot handoff,
-# concurrent multi-head predict, sweeps under factory traffic).
-# test_obs includes the live-telemetry races:
-# concurrent
+# covers the sweep engine (the three model heads predicting concurrently
+# on the pool, sweeps under concurrent featurize() and template-cache
+# traffic). test_obs includes the live-telemetry races: concurrent
 # Histogram::observe vs *_snapshot(), heartbeat-sampler start/stop under
 # metric hammering, and cross-thread span-context adoption.
 #

@@ -5,8 +5,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/env.hpp"
-#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace gnndse::dse {
@@ -69,9 +67,6 @@ DseResult ModelDse::run(const kir::Kernel& kernel, const DseOptions& opts,
   eng_opts.keep = static_cast<std::size_t>(
       std::max(opts.top_m, opts.beam_width)) * 4;
   eng_opts.util_threshold = opts.util_threshold;
-  eng_opts.use_fast_path = opts.use_fast_path;
-  eng_opts.pipelined =
-      opts.pipeline && util::env_int("GNNDSE_SWEEP_PIPELINE", 1) != 0;
   eng_opts.cancel = opts.cancel;
   SweepEngine engine(models_, factory_, kernel, eng_opts);
 
@@ -124,8 +119,8 @@ DseResult ModelDse::run(const kir::Kernel& kernel, const DseOptions& opts,
         }
         if (!budget_left()) break;
       }
-      // Refresh the beam from the current leaders (drains the pipeline —
-      // the next site's expansions depend on these ranks).
+      // Refresh the beam from the current leaders (scores the partial
+      // chunk first — the next site's expansions depend on these ranks).
       beam = engine.top_configs(static_cast<std::size_t>(opts.beam_width));
       if (beam.empty()) beam.push_back(DesignConfig::neutral(kernel));
     }

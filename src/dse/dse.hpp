@@ -5,11 +5,11 @@
 // large spaces use the innermost-first pragma-ordering heuristic: a beam
 // sweep over the priority-ordered sites, followed by random exploration
 // until the time limit. Both paths stream their candidates through the
-// pipelined SweepEngine (dse/sweep_engine.hpp), which overlaps chunk
-// featurization, multi-head prediction, and frontier ranking. The top-M
-// candidates by predicted quality are then evaluated with the real HLS
-// substrate, exactly as GNN-DSE sends its top-10 designs to the Merlin
-// Compiler.
+// SweepEngine (dse/sweep_engine.hpp), which scores each chunk with the
+// three model heads running concurrently and keeps a bounded top-K
+// frontier. The top-M candidates by predicted quality are then evaluated
+// with the real HLS substrate, exactly as GNN-DSE sends its top-10 designs
+// to the Merlin Compiler.
 #pragma once
 
 #include <array>
@@ -39,31 +39,18 @@ struct DseOptions {
   std::uint64_t max_exhaustive = 8'000;
   /// Beam width of the heuristic sweep for larger spaces.
   int beam_width = 32;
-  /// Featurization/inference chunk. Each chunk is featurized per-config
-  /// across the global thread pool (GNNDSE_THREADS), then predicted with
-  /// one batched model call per trainer.
+  /// Featurization/inference chunk. Each chunk's pragma slots are written
+  /// into a cached batch skeleton, then the three model heads predict it
+  /// as concurrent tasks on the global thread pool (GNNDSE_THREADS).
   int chunk = 256;
   /// Ablation toggle: false disables the §4.4 innermost-first ordering and
   /// sweeps sites in declaration order instead.
   bool use_priority_order = true;
-  /// Inference fast path: score chunks through one shared, skeleton-cached
-  /// GraphBatch and the tape-free forward (bit-identical predictions).
-  /// false restores the legacy per-head tape path — kept for the
-  /// tape-vs-fast benchmark (bench_fastpath) and as an escape hatch.
-  bool use_fast_path = true;
-  /// Pipelined sweep engine (dse/sweep_engine.hpp): overlap chunk
-  /// featurization with multi-head prediction and frontier keep.
-  /// Bit-identical to the serial engine at every thread count (enforced by
-  /// tests/test_sweep.cpp); false runs the stages back-to-back on the
-  /// calling thread, as every release before the engine did. The
-  /// GNNDSE_SWEEP_PIPELINE env var (0/1) overrides a true value — an
-  /// escape hatch for debugging, never an enable.
-  bool pipeline = true;
   /// Hard cap on configurations handed to the models (0 = unlimited).
   /// Unlike the wall-clock limit this budget is deterministic, so two runs
-  /// with the same cap score the same configs — the engine identity tests
-  /// use it to pin the heuristic path, and bounded production sweeps get a
-  /// predictable cost.
+  /// with the same cap score the same configs — the thread-count identity
+  /// tests use it to pin the heuristic path, and bounded production sweeps
+  /// get a predictable cost.
   std::uint64_t max_configs = 0;
   /// Cooperative cancellation: another thread (the serve daemon's cancel
   /// request) sets the flag; the search checks it between chunks, stops
@@ -82,7 +69,7 @@ struct DseResult {
   std::uint64_t num_explored = 0;
   double search_seconds = 0.0;  // model-driven search wall-clock
   /// Per-stage timing of the sweep (SweepEngine::stats()): featurize /
-  /// predict / rank milliseconds, wall time, and the overlap ratio.
+  /// predict / rank milliseconds, wall time and chunk count.
   SweepStageStats stages;
   /// True when DseOptions::cancel fired: `top` holds the best designs
   /// ranked before the cancellation point.

@@ -7,8 +7,6 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "util/parallel.hpp"
 
 namespace gnndse::dse {
 
@@ -32,10 +30,6 @@ float sigmoidf(float x) {
                 : std::exp(x) / (1.0f + std::exp(x));
 }
 
-std::int64_t micros(double ms) {
-  return static_cast<std::int64_t>(ms * 1000.0);
-}
-
 }  // namespace
 
 SweepEngine::SweepEngine(const ModelBundle& models,
@@ -50,205 +44,89 @@ SweepEngine::SweepEngine(const ModelBundle& models,
   pending_.reserve(static_cast<std::size_t>(opts_.chunk));
 }
 
-SweepEngine::~SweepEngine() {
-  stop_worker();
-  // Park the leased batch skeletons for the next sweep of this kernel.
-  for (Slot& s : slots_)
-    if (s.batch) factory_.release_slot(std::move(s.batch));
-}
-
-void SweepEngine::rethrow_pending_error() {
-  std::exception_ptr err;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    err = error_;
-  }
-  if (err) std::rethrow_exception(err);
-}
-
 void SweepEngine::push(DesignConfig&& cfg) {
   pending_.push_back(std::move(cfg));
-  if (pending_.size() >= static_cast<std::size_t>(opts_.chunk)) dispatch();
+  if (pending_.size() >= static_cast<std::size_t>(opts_.chunk))
+    score_pending();
 }
 
-void SweepEngine::dispatch() {
-  if (pending_.empty()) return;
-  if (cancelled()) {
-    // Drop work that never reached a batch; in-flight chunks still finish,
-    // mirroring the serial path's "one chunk completes, then wind down".
-    pending_.clear();
-    return;
-  }
-  rethrow_pending_error();
-  Slot& s = slots_[static_cast<std::size_t>(fill_idx_)];
-  if (opts_.pipelined) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_to_producer_.wait(lock, [&] { return !s.ready; });
-  }
-  s.configs = std::move(pending_);
-  pending_ = {};
-  pending_.reserve(static_cast<std::size_t>(opts_.chunk));
-  s.first_seq = next_seq_;
-  next_seq_ += s.configs.size();
-  featurize_slot(s);
-  if (opts_.pipelined) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      s.ready = true;
-      ++dispatched_chunks_;
-    }
-    cv_to_consumer_.notify_one();
-    if (!worker_started_) {
-      worker_ = std::thread([this] { worker_loop(); });
-      worker_started_ = true;
-    }
-    fill_idx_ ^= 1;
-  } else {
-    ++dispatched_chunks_;
-    score_slot(s);
-    s.configs.clear();
-    s.graphs.clear();
-    ++scored_chunks_;
-  }
-}
-
-void SweepEngine::featurize_slot(Slot& s) {
+void SweepEngine::score_pending() {
   static obs::Histogram& h_feat = obs::histogram("dse.featurize_chunk_ms");
-  static obs::Histogram& h_stage = obs::histogram("dse.pipeline.stage_ms");
-  util::Timer t;
-  if (opts_.use_fast_path) {
-    // Lease (or reuse) a batch skeleton sized for this chunk and rewrite
-    // its pragma slots. The lease is private to this engine, so the
-    // consumer can predict from the other slot concurrently.
-    if (!s.batch || s.batch->size != s.configs.size()) {
-      if (s.batch) factory_.release_slot(std::move(s.batch));
-      s.batch = factory_.acquire_slot(kernel_, s.configs.size());
-    }
-    factory_.write_slot(kernel_, s.configs, *s.batch);
-  } else {
-    // Legacy tape path (bench_fastpath's baseline): full per-config
-    // featurization, exactly what every release before the fast path did.
-    s.graphs.resize(s.configs.size());
-    util::parallel_for(
-        static_cast<std::int64_t>(s.configs.size()), 8,
-        [&](std::int64_t begin, std::int64_t end) {
-          for (std::int64_t i = begin; i < end; ++i)
-            s.graphs[static_cast<std::size_t>(i)] = factory_.featurize_full(
-                kernel_, s.configs[static_cast<std::size_t>(i)]);
-        });
-  }
-  const double ms = t.millis();
-  obs::observe(h_feat, ms);
-  obs::observe(h_stage, ms);
-  feat_us_.fetch_add(micros(ms), std::memory_order_relaxed);
-}
-
-void SweepEngine::score_slot(Slot& s) {
   static obs::Histogram& h_pred = obs::histogram("dse.predict_chunk_ms");
   static obs::Histogram& h_rank = obs::histogram("dse.frontier_keep_ms");
-  static obs::Histogram& h_stage = obs::histogram("dse.pipeline.stage_ms");
   static obs::Counter& c_pruned = obs::counter("dse.pruned_by_classifier");
   static obs::Counter& c_explored = obs::counter("dse.configs_explored");
   static obs::Gauge& g_elapsed = obs::gauge("dse.search_elapsed_seconds");
   static obs::Gauge& g_frontier = obs::gauge("dse.frontier_size");
-  static obs::Gauge& g_overlap = obs::gauge("dse.pipeline.overlap_ratio");
+  static obs::Gauge& g_rate = obs::gauge("dse.sweep_configs_per_sec");
 
-  const tensor::Tensor* main_pred = nullptr;
-  const tensor::Tensor* bram_pred = nullptr;
-  const tensor::Tensor* valid_pred = nullptr;
-  // Tape-path temporaries (owning); the fast path borrows the per-trainer
-  // inference workspaces instead (three distinct sessions, so all three
-  // references stay valid through the fill loop).
-  tensor::Tensor main_t, bram_t, valid_t;
+  if (pending_.empty()) return;
+  if (cancelled()) {
+    pending_.clear();
+    return;
+  }
 
+  util::Timer feat_timer;
+  const gnn::GraphBatch& batch = factory_.batch_for(kernel_, pending_);
+  const double feat_ms = feat_timer.millis();
+  obs::observe(h_feat, feat_ms);
+  stats_.featurize_ms += feat_ms;
+
+  // The three heads fan out as pool tasks; with one lane they run inline,
+  // in order. Each output lives in its own trainer's workspace.
   util::Timer pred_timer;
-  if (opts_.use_fast_path) {
-    const gnn::GraphBatch& batch = s.batch->batch;
-    if (opts_.pipelined) {
-      // The three heads fan out as pool tasks; with one lane they run
-      // inline in the same order as the serial branch below.
-      const std::array<model::Trainer*, 3> heads{
-          models_.regression_main, models_.regression_bram,
-          models_.classifier};
-      std::array<const tensor::Tensor*, 3> outs{};
-      model::predict_batch_concurrent(heads, batch, outs);
-      main_pred = outs[0];
-      bram_pred = outs[1];
-      valid_pred = outs[2];
-    } else {
-      main_pred = &models_.regression_main->predict_batch(batch);
-      bram_pred = &models_.regression_bram->predict_batch(batch);
-      valid_pred = &models_.classifier->predict_batch(batch);
-    }
-  } else {
-    std::vector<const gnn::GraphData*> ptrs;
-    ptrs.reserve(s.graphs.size());
-    for (const auto& g : s.graphs) ptrs.push_back(&g);
-    main_t = models_.regression_main->predict_graphs_tape(ptrs);
-    bram_t = models_.regression_bram->predict_graphs_tape(ptrs);
-    valid_t = models_.classifier->predict_graphs_tape(ptrs);
-    main_pred = &main_t;
-    bram_pred = &bram_t;
-    valid_pred = &valid_t;
-  }
-  {
-    const double ms = pred_timer.millis();
-    obs::observe(h_pred, ms);
-    obs::observe(h_stage, ms);
-    pred_us_.fetch_add(micros(ms), std::memory_order_relaxed);
-  }
+  const std::array<model::Trainer*, 3> heads{
+      models_.regression_main, models_.regression_bram, models_.classifier};
+  std::array<const tensor::Tensor*, 3> outs{};
+  model::predict_batch_concurrent(heads, batch, outs);
+  const tensor::Tensor& main_pred = *outs[0];
+  const tensor::Tensor& bram_pred = *outs[1];
+  const tensor::Tensor& valid_pred = *outs[2];
+  const double pred_ms = pred_timer.millis();
+  obs::observe(h_pred, pred_ms);
+  stats_.predict_ms += pred_ms;
 
   util::Timer rank_timer;
   std::int64_t pruned = 0;
-  frontier_.reserve(frontier_.size() + s.configs.size());
-  for (std::size_t i = 0; i < s.configs.size(); ++i) {
+  frontier_.reserve(frontier_.size() + pending_.size());
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
     Scored sc;
-    sc.d.config = std::move(s.configs[i]);
+    sc.d.config = std::move(pending_[i]);
     const auto row = static_cast<std::int64_t>(i);
-    sc.d.predicted[model::kLatency] = main_pred->at(row, 0);
-    sc.d.predicted[model::kDsp] = main_pred->at(row, 1);
-    sc.d.predicted[model::kLut] = main_pred->at(row, 2);
-    sc.d.predicted[model::kFf] = main_pred->at(row, 3);
-    sc.d.predicted[model::kBram] = bram_pred->at(row, 0);
-    sc.d.p_valid = sigmoidf(valid_pred->at(row, 0));
+    sc.d.predicted[model::kLatency] = main_pred.at(row, 0);
+    sc.d.predicted[model::kDsp] = main_pred.at(row, 1);
+    sc.d.predicted[model::kLut] = main_pred.at(row, 2);
+    sc.d.predicted[model::kFf] = main_pred.at(row, 3);
+    sc.d.predicted[model::kBram] = bram_pred.at(row, 0);
+    sc.d.p_valid = sigmoidf(valid_pred.at(row, 0));
     if (sc.d.p_valid < 0.5f) ++pruned;
     sc.score = ranking_score(sc.d, opts_.util_threshold);
-    sc.seq = s.first_seq + i;
+    sc.seq = num_scored_ + i;
     frontier_.push_back(std::move(sc));
   }
   keep_top();
-  const std::uint64_t scored =
-      num_scored_.fetch_add(s.configs.size(), std::memory_order_relaxed) +
-      s.configs.size();
-  {
-    const double ms = rank_timer.millis();
-    obs::observe(h_rank, ms);
-    obs::observe(h_stage, ms);
-    rank_us_.fetch_add(micros(ms), std::memory_order_relaxed);
-  }
+  const double rank_ms = rank_timer.millis();
+  obs::observe(h_rank, rank_ms);
+  stats_.rank_ms += rank_ms;
 
+  const std::size_t n = pending_.size();
+  pending_.clear();
+  num_scored_ += n;
+  ++stats_.chunks;
   obs::add(c_pruned, pruned);
-  obs::add(c_explored, static_cast<std::int64_t>(s.configs.size()));
+  obs::add(c_explored, static_cast<std::int64_t>(n));
   const double wall_s = timer_.seconds();
   obs::set(g_elapsed, wall_s);
   obs::set(g_frontier, static_cast<double>(frontier_.size()));
-  if (wall_s > 0) {
-    const double stage_us = static_cast<double>(
-        feat_us_.load(std::memory_order_relaxed) +
-        pred_us_.load(std::memory_order_relaxed) +
-        rank_us_.load(std::memory_order_relaxed));
-    obs::set(g_overlap, stage_us / (wall_s * 1e6));
-    obs::set(obs::gauge("dse.sweep_configs_per_sec"),
-             static_cast<double>(scored) / wall_s);
-  }
+  if (wall_s > 0)
+    obs::set(g_rate, static_cast<double>(num_scored_) / wall_s);
 }
 
 void SweepEngine::keep_top() {
   if (frontier_.size() <= opts_.keep) return;
   // Bounded frontier: a design outside the best `keep` so far can never
-  // re-enter the final top `keep`, so truncating per chunk is exact (the
-  // serial path's per-flush sort+resize kept the same invariant). Average
-  // O(n) nth_element instead of the old full sort per flush.
+  // re-enter the final top `keep`, so truncating per chunk is exact.
+  // Average O(n) nth_element instead of a full sort per chunk.
   const auto kth =
       frontier_.begin() + static_cast<std::ptrdiff_t>(opts_.keep);
   std::nth_element(frontier_.begin(), kth, frontier_.end(),
@@ -258,47 +136,8 @@ void SweepEngine::keep_top() {
   frontier_.resize(opts_.keep);
 }
 
-void SweepEngine::worker_loop() {
-  obs::set_thread_name("sweep-score");
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    Slot& s = slots_[static_cast<std::size_t>(score_idx_)];
-    cv_to_consumer_.wait(
-        lock, [&] { return stop_ || slots_[static_cast<std::size_t>(
-                                              score_idx_)].ready; });
-    if (!slots_[static_cast<std::size_t>(score_idx_)].ready) return;  // stop
-    lock.unlock();
-    std::exception_ptr err;
-    try {
-      score_slot(s);
-    } catch (...) {
-      err = std::current_exception();
-    }
-    s.configs.clear();
-    s.graphs.clear();
-    lock.lock();
-    s.ready = false;
-    if (err && !error_) error_ = err;
-    ++scored_chunks_;
-    score_idx_ ^= 1;
-    cv_to_producer_.notify_all();
-  }
-}
-
-void SweepEngine::barrier() {
-  dispatch();
-  if (opts_.pipelined && worker_started_) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_to_producer_.wait(
-        lock, [&] { return scored_chunks_ == dispatched_chunks_; });
-  }
-  rethrow_pending_error();
-}
-
 std::vector<DesignConfig> SweepEngine::top_configs(std::size_t n) {
-  barrier();
-  // Post-barrier the consumer is idle, so reading the frontier is ordered
-  // by the scored_chunks_ handshake.
+  score_pending();
   std::vector<std::size_t> idx(frontier_.size());
   std::iota(idx.begin(), idx.end(), std::size_t{0});
   const std::size_t k = std::min(n, idx.size());
@@ -315,45 +154,15 @@ std::vector<DesignConfig> SweepEngine::top_configs(std::size_t n) {
 }
 
 std::vector<RankedDesign> SweepEngine::finish() {
-  barrier();
-  stop_worker();
+  score_pending();
   std::sort(frontier_.begin(), frontier_.end(),
             [&](const Scored& a, const Scored& b) { return better(a, b); });
-  const double wall_ms = timer_.millis();
-  stats_.featurize_ms =
-      static_cast<double>(feat_us_.load(std::memory_order_relaxed)) / 1e3;
-  stats_.predict_ms =
-      static_cast<double>(pred_us_.load(std::memory_order_relaxed)) / 1e3;
-  stats_.rank_ms =
-      static_cast<double>(rank_us_.load(std::memory_order_relaxed)) / 1e3;
-  stats_.wall_ms = wall_ms;
-  stats_.chunks = dispatched_chunks_;
-  stats_.overlap_ratio =
-      wall_ms > 0
-          ? (stats_.featurize_ms + stats_.predict_ms + stats_.rank_ms) /
-                wall_ms
-          : 0.0;
-  obs::set(obs::gauge("dse.pipeline.overlap_ratio"), stats_.overlap_ratio);
-  if (wall_ms > 0)
-    obs::set(obs::gauge("dse.sweep_configs_per_sec"),
-             static_cast<double>(num_scored()) / (wall_ms / 1e3));
+  stats_.wall_ms = timer_.millis();
   std::vector<RankedDesign> out;
   out.reserve(frontier_.size());
   for (Scored& sc : frontier_) out.push_back(std::move(sc.d));
   frontier_.clear();
-  finished_ = true;
   return out;
-}
-
-void SweepEngine::stop_worker() {
-  if (!worker_started_) return;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_to_consumer_.notify_all();
-  if (worker_.joinable()) worker_.join();
-  worker_started_ = false;
 }
 
 }  // namespace gnndse::dse

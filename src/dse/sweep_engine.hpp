@@ -1,42 +1,32 @@
-// Pipelined sweep engine: the scoring core of model-driven DSE.
+// Sweep engine: the scoring core of model-driven DSE.
 //
-// ModelDse::run used to execute three serialized stages per chunk —
-// featurize (pragma-slot rewrite of a pooled GraphBatch), predict (three
-// model heads back-to-back), rank (full std::sort of the frontier) — on
-// one thread. The engine overlaps them:
+// Candidates stream in through push(). Every `chunk` of them is scored on
+// the calling thread in three steps:
 //
-//   producer (search thread)            consumer (scoring thread)
-//   ------------------------            -------------------------
-//   enumerate / beam-expand
-//   featurize chunk N+1  ───slots[2]──►  predict chunk N (3 heads as
-//                                          parallel pool tasks)
-//                                        rank chunk N (bounded top-K
-//                                          frontier, nth_element keep)
+//   featurize  SampleFactory::batch_for rewrites the pragma slots of a
+//              cached batch skeleton (topology assembled once per size)
+//   predict    the three model heads run as concurrent pool tasks
+//              (model::predict_batch_concurrent), one shared batch
+//   keep       the chunk merges into a bounded top-K frontier
+//              (nth_element keep)
 //
-// Two leased SampleFactory batch slots double-buffer the chunks, so the
-// producer writes slot A while the consumer predicts from slot B. The
-// ranked output is bit-identical to the serial path at every thread count
+// Predict is almost all of the work, so the heads are the only thing run
+// in parallel. The ranked output is bit-identical at every thread count
 // (enforced by tests/test_sweep.cpp): per-row predictions are independent
-// of batch composition, the frontier orders by a strict total order
-// (score desc, then push sequence asc), and a bounded keep can never
-// evict a design that would make the final top-K.
+// of batch composition and of which pool lane runs a head, the frontier
+// orders by a strict total order (score desc, then push sequence asc), and
+// a bounded keep can never evict a design that would make the final top-K.
 //
 // Telemetry: per-stage histograms `dse.featurize_chunk_ms`,
-// `dse.predict_chunk_ms`, `dse.frontier_keep_ms` (all three also observed
-// into `dse.pipeline.stage_ms`), live gauges `dse.pipeline.overlap_ratio`
-// (sum of stage time / wall time — > 1 means stages genuinely overlap)
-// and `dse.sweep_configs_per_sec`, plus the `dse.search_elapsed_seconds` /
-// `dse.frontier_size` / `dse.configs_explored` progress metrics the serve
+// `dse.predict_chunk_ms` and `dse.frontier_keep_ms`, the live
+// `dse.sweep_configs_per_sec` gauge, plus the `dse.search_elapsed_seconds`
+// / `dse.frontier_size` / `dse.configs_explored` progress metrics the serve
 // daemon's heartbeat and poll responses read while a sweep job runs.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "model/dataset.hpp"
@@ -70,78 +60,52 @@ struct SweepStageStats {
   double predict_ms = 0.0;
   double rank_ms = 0.0;
   double wall_ms = 0.0;
-  /// (featurize + predict + rank) / wall. Serial runs sit at <= 1; values
-  /// above 1 measure how much stage time the pipeline hid.
-  double overlap_ratio = 0.0;
   std::uint64_t chunks = 0;
 };
 
 struct SweepEngineOptions {
-  /// Configs per scored chunk (one GraphBatch / one tape batch).
+  /// Configs per scored chunk (one GraphBatch).
   int chunk = 256;
   /// Frontier bound: the engine keeps the best `keep` designs seen so far
   /// (ModelDse uses max(top_m, beam_width) * 4).
   std::size_t keep = 128;
   double util_threshold = 0.8;
-  /// Fast path (pooled batch + tape-free forward) vs legacy tape path.
-  bool use_fast_path = true;
-  /// false runs featurize/predict/rank back-to-back on the calling thread
-  /// — the reference serial engine the pipelined mode is tested against.
-  bool pipelined = true;
-  /// Cooperative cancellation (see DseOptions::cancel): pending configs
-  /// not yet handed to a batch are dropped; the in-flight chunk finishes.
+  /// Cooperative cancellation (see DseOptions::cancel): once set, pending
+  /// configs not yet scored are dropped.
   const std::atomic<bool>* cancel = nullptr;
 };
 
-/// Producer API: push() every candidate config (chunks auto-dispatch),
-/// barrier()/top_configs() at beam refresh points, finish() for the final
-/// sorted frontier. Single producer thread; the engine owns its single
-/// consumer thread. Not reusable after finish().
+/// push() every candidate config (full chunks score immediately),
+/// top_configs() at beam refresh points, finish() for the final sorted
+/// frontier. Single-threaded API; not reusable after finish().
 class SweepEngine {
  public:
-  /// `kernel` and the bundle's trainers must outlive the engine. The
-  /// factory may be shared with concurrent featurize()/predict traffic
-  /// (serve); leased batch slots are private to this engine.
+  /// `kernel`, `factory` and the bundle's trainers must outlive the engine.
+  /// The factory may be shared with concurrent featurize() traffic, but
+  /// the engine is its only batch_for() caller.
   SweepEngine(const ModelBundle& models, model::SampleFactory& factory,
               const kir::Kernel& kernel, const SweepEngineOptions& opts);
-  ~SweepEngine();
-  SweepEngine(const SweepEngine&) = delete;
-  SweepEngine& operator=(const SweepEngine&) = delete;
 
-  /// Queues one candidate; dispatches a chunk once `opts.chunk` are
-  /// pending. Rethrows any error raised on the scoring thread.
+  /// Queues one candidate; scores the chunk once `opts.chunk` are pending.
   void push(hlssim::DesignConfig&& cfg);
 
-  /// Dispatches the pending partial chunk and blocks until every
-  /// dispatched chunk is scored.
-  void barrier();
-
-  /// Best `n` configs scored so far (barriers first) — the beam refresh.
+  /// Best `n` configs scored so far, after scoring the pending partial
+  /// chunk — the beam refresh.
   std::vector<hlssim::DesignConfig> top_configs(std::size_t n);
 
-  /// Final drain: barrier, stop the scoring thread, and return the
-  /// frontier sorted best-first. Also fixes stats().
+  /// Scores the pending partial chunk and returns the frontier sorted
+  /// best-first. Also fixes stats().
   std::vector<RankedDesign> finish();
 
-  /// Configs scored so far (stable after barrier()/finish()).
-  std::uint64_t num_scored() const {
-    return num_scored_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t num_scored() const { return num_scored_; }
 
   /// Valid after finish().
   const SweepStageStats& stats() const { return stats_; }
 
  private:
-  struct Slot {
-    std::shared_ptr<model::SampleFactory::BatchSlot> batch;  // fast path
-    std::vector<hlssim::DesignConfig> configs;
-    std::vector<gnn::GraphData> graphs;  // tape path
-    std::uint64_t first_seq = 0;
-    bool ready = false;  // guarded by mu_: featurized, waiting for scoring
-  };
-  /// Frontier entry. `seq` is the push-order sequence number: identical
-  /// across serial and pipelined runs, it makes (score desc, seq asc) a
-  /// strict total order, so tie-breaks are deterministic.
+  /// Frontier entry. `seq` is the push-order sequence number: it makes
+  /// (score desc, seq asc) a strict total order, so tie-breaks are
+  /// deterministic.
   struct Scored {
     RankedDesign d;
     double score = 0.0;
@@ -155,17 +119,9 @@ class SweepEngine {
     if (a.score != b.score) return a.score > b.score;
     return a.seq < b.seq;
   }
-  void rethrow_pending_error();
-  /// Moves `pending_` into the current fill slot, featurizes it, and hands
-  /// it to the scorer (inline in serial mode).
-  void dispatch();
-  void featurize_slot(Slot& s);
-  /// Predict + rank one featurized slot; appends to the frontier and
-  /// prunes it to `opts.keep` (runs on the consumer thread when pipelined).
-  void score_slot(Slot& s);
+  /// Featurizes, predicts and ranks `pending_` into the frontier.
+  void score_pending();
   void keep_top();
-  void worker_loop();
-  void stop_worker();
 
   ModelBundle models_;
   model::SampleFactory& factory_;
@@ -173,34 +129,9 @@ class SweepEngine {
   SweepEngineOptions opts_;
   util::Timer timer_;
 
-  // Producer-side state.
   std::vector<hlssim::DesignConfig> pending_;
-  std::uint64_t next_seq_ = 0;
-  int fill_idx_ = 0;
-  bool finished_ = false;
-
-  // Shared pipeline state (guarded by mu_ unless noted).
-  std::array<Slot, 2> slots_;
-  int score_idx_ = 0;
-  std::uint64_t dispatched_chunks_ = 0;
-  std::uint64_t scored_chunks_ = 0;
-  std::exception_ptr error_;
-  bool stop_ = false;
-  std::mutex mu_;
-  std::condition_variable cv_to_consumer_;
-  std::condition_variable cv_to_producer_;
-  std::thread worker_;
-  bool worker_started_ = false;
-
-  // Consumer-side state; the producer reads it only after a barrier (the
-  // scored_chunks_ handshake under mu_ orders those accesses).
   std::vector<Scored> frontier_;
-
-  // Telemetry accumulators (atomic: stages run on two threads).
-  std::atomic<std::uint64_t> num_scored_{0};
-  std::atomic<std::int64_t> feat_us_{0};
-  std::atomic<std::int64_t> pred_us_{0};
-  std::atomic<std::int64_t> rank_us_{0};
+  std::uint64_t num_scored_ = 0;
   SweepStageStats stats_;
 };
 

@@ -85,11 +85,12 @@ class TransformerConv : public ConvLayer {
   /// computes them once per (batch_id, params_version) instead of every
   /// forward — the DSE skeleton cache reuses one batch across a whole
   /// sweep, turning two [E, D] matmuls per chunk into once-per-sweep work.
-  /// A small move-to-front LRU (kEdgeProjSlots) instead of a single entry:
-  /// the pipelined sweep engine double-buffers two batches with distinct
-  /// ids, and one slot would thrash on every alternation. Invalidation is
-  /// automatic: make_batch mints fresh batch ids and Adam::step()/
-  /// load_params() bump tensor::params_version().
+  /// A small move-to-front LRU (kEdgeProjSlots, sized to match
+  /// SampleFactory's skeleton list) instead of a single entry: heuristic
+  /// sweeps alternate full and partial chunk sizes, each a skeleton with
+  /// its own batch id, and one slot would thrash on every alternation.
+  /// Invalidation is automatic: make_batch mints fresh batch ids and
+  /// Adam::step()/load_params() bump tensor::params_version().
   struct EdgeProjection {
     std::uint64_t batch_id = 0;
     std::uint64_t params_version = 0;

@@ -142,117 +142,61 @@ gnn::GraphData SampleFactory::featurize(const kir::Kernel& kernel,
   return g;
 }
 
-gnn::GraphData SampleFactory::featurize_full(const kir::Kernel& kernel,
-                                             const hlssim::DesignConfig& cfg) {
-  static obs::Counter& c_built = obs::counter("graphgen.graphs_built");
-  static obs::Histogram& h_feat = obs::histogram("graphgen.featurize_ms");
-  util::Timer timer;
-  const auto kc = cache_for(kernel);  // pins the template against eviction
-  gnn::GraphData g;
-  g.x = graphgen::node_features(kc->graph, *kc->space, cfg);
-  g.e = kc->edge_feats;
-  g.src = kc->src;
-  g.dst = kc->dst;
-  g.aux = graphgen::pragma_vector(*kc->space, cfg, kMaxPragmaSites);
-  if (obs::enabled()) {
-    c_built.add();
-    h_feat.observe(timer.millis());
-  }
-  return g;
-}
-
-std::shared_ptr<SampleFactory::BatchSlot> SampleFactory::acquire_slot(
-    const kir::Kernel& kernel, std::size_t size) {
+const gnn::GraphBatch& SampleFactory::batch_for(
+    const kir::Kernel& kernel, std::span<const hlssim::DesignConfig> configs) {
   static obs::Counter& c_hits = obs::counter("gnn.batch_skeleton_hits");
   static obs::Counter& c_misses = obs::counter("gnn.batch_skeleton_misses");
-  if (size == 0) throw std::invalid_argument("acquire_slot: empty batch");
-  const auto kc = cache_for(kernel);  // pins the template against eviction
-
-  {
-    // Free-list lookup (most-recently-released first, keyed by kernel +
-    // digest + batch size). A hit hands back an already-assembled skeleton
-    // whose batch_id is stable, so the conv layers' edge-projection caches
-    // stay warm across sweeps.
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = free_slots_.begin(); it != free_slots_.end(); ++it) {
-      if ((*it)->kernel == kernel.name && (*it)->digest == kc->digest &&
-          (*it)->size == size) {
-        std::shared_ptr<BatchSlot> slot = std::move(*it);
-        free_slots_.erase(it);
-        obs::add(c_hits);
-        return slot;
-      }
-    }
-  }
-  obs::add(c_misses);
-  // Assemble the batch once from `size` copies of the template graph
-  // (pragma slots zero) — exactly what make_batch over featurized graphs
-  // produces for everything except the per-config slots written later.
-  gnn::GraphData proto;
-  proto.x = kc->base_x;
-  proto.e = kc->edge_feats;
-  proto.src = kc->src;
-  proto.dst = kc->dst;
-  proto.aux = tensor::Tensor({static_cast<std::int64_t>(kMaxPragmaSites) *
-                              graphgen::kPragmaVectorPerSite});
-  std::vector<const gnn::GraphData*> protos(size, &proto);
-  auto slot = std::make_shared<BatchSlot>();
-  slot->kernel = kernel.name;
-  slot->digest = kc->digest;
-  slot->size = size;
-  slot->batch = gnn::make_batch(protos);
-  return slot;
-}
-
-void SampleFactory::write_slot(const kir::Kernel& kernel,
-                               std::span<const hlssim::DesignConfig> configs,
-                               BatchSlot& slot) {
-  if (configs.size() != slot.size)
-    throw std::invalid_argument("write_slot: config count != slot size");
+  if (configs.empty())
+    throw std::invalid_argument("batch_for: empty config list");
   obs::ScopedSpan span("gnn.batch_assemble");
   span.add("configs", static_cast<double>(configs.size()));
   const auto kc = cache_for(kernel);  // pins the template against eviction
-  if (kernel.name != slot.kernel || kc->digest != slot.digest)
-    throw std::invalid_argument("write_slot: slot belongs to another kernel");
+
+  // MRU skeleton lookup keyed by kernel + digest + batch size. A hit hands
+  // back an already-assembled batch whose batch_id is stable, so the conv
+  // layers' edge-projection caches stay warm across chunks and sweeps.
+  auto it = std::find_if(skeletons_.begin(), skeletons_.end(),
+                         [&](const Skeleton& s) {
+                           return s.kernel == kernel.name &&
+                                  s.digest == kc->digest &&
+                                  s.size == configs.size();
+                         });
+  if (it != skeletons_.end()) {
+    obs::add(c_hits);
+    skeletons_.splice(skeletons_.begin(), skeletons_, it);
+  } else {
+    obs::add(c_misses);
+    // Assemble the batch once from `size` copies of the template graph
+    // (pragma slots zero) — exactly what make_batch over featurized graphs
+    // produces for everything except the per-config slots written below.
+    gnn::GraphData proto;
+    proto.x = kc->base_x;
+    proto.e = kc->edge_feats;
+    proto.src = kc->src;
+    proto.dst = kc->dst;
+    proto.aux = tensor::Tensor({static_cast<std::int64_t>(kMaxPragmaSites) *
+                                graphgen::kPragmaVectorPerSite});
+    std::vector<const gnn::GraphData*> protos(configs.size(), &proto);
+    skeletons_.push_front(Skeleton{kernel.name, kc->digest, configs.size(),
+                                   gnn::make_batch(protos)});
+    if (skeletons_.size() > kMaxSkeletons) skeletons_.pop_back();
+  }
 
   // Per-config featurization: rewrite only the pragma-dependent slots of
   // each graph's rows (write_pragma_features clears them first, so reuse
-  // across calls never leaks a previous configuration). Disjoint row
-  // ranges per config — safe to fan out.
-  gnn::GraphBatch& b = slot.batch;
+  // across calls never leaks a previous configuration). A few floats per
+  // pragma node: a 256-config chunk takes about 0.1 ms serially, less than
+  // waking the pool would cost.
+  gnn::GraphBatch& b = skeletons_.front().batch;
   const std::int64_t fa = b.aux.cols();
-  util::parallel_for(
-      static_cast<std::int64_t>(configs.size()), 8,
-      [&](std::int64_t begin, std::int64_t end) {
-        for (std::int64_t i = begin; i < end; ++i) {
-          const auto gi = static_cast<std::size_t>(i);
-          graphgen::write_pragma_features(kc->graph, *kc->space, configs[gi],
-                                          b.x, b.node_offset[gi]);
-          graphgen::write_pragma_vector(*kc->space, configs[gi],
-                                        kMaxPragmaSites,
-                                        b.aux.data() + i * fa);
-        }
-      });
-}
-
-void SampleFactory::release_slot(std::shared_ptr<BatchSlot> slot) {
-  if (!slot) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  free_slots_.push_front(std::move(slot));
-  if (free_slots_.size() > kMaxSkeletons) free_slots_.pop_back();
-}
-
-const gnn::GraphBatch& SampleFactory::batch_for(
-    const kir::Kernel& kernel, std::span<const hlssim::DesignConfig> configs) {
-  if (configs.empty())
-    throw std::invalid_argument("batch_for: empty config list");
-  // Release-then-reacquire keeps the previous call's skeleton at the front
-  // of the free list, so back-to-back chunks of the same shape reuse one
-  // batch (and one batch_id) exactly as the old single-slot cache did.
-  if (held_slot_) release_slot(std::move(held_slot_));
-  held_slot_ = acquire_slot(kernel, configs.size());
-  write_slot(kernel, configs, *held_slot_);
-  return held_slot_->batch;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    graphgen::write_pragma_features(kc->graph, *kc->space, configs[i], b.x,
+                                    b.node_offset[i]);
+    graphgen::write_pragma_vector(
+        *kc->space, configs[i], kMaxPragmaSites,
+        b.aux.data() + static_cast<std::int64_t>(i) * fa);
+  }
+  return b;
 }
 
 Sample SampleFactory::make(const kir::Kernel& kernel,

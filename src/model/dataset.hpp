@@ -58,21 +58,17 @@ struct Sample {
 ///    `gnn.template_evictions`, with the resident estimate in the
 ///    `gnn.template_bytes` gauge.
 ///  * batch skeleton — the assembled GraphBatch for B copies of the
-///    template graph, pooled per (kernel, B) since topology (src_sl/
-///    dst_sl/gcn_coeff/node_graph/node_offset) is identical across
-///    configurations. acquire_slot()/write_slot()/release_slot() lease
-///    skeletons out of a bounded free list; batch_for() is a convenience
-///    wrapper holding one lease, reducing per-config featurization to
-///    rewriting pragma feature slots inside the pooled batch.
-///    Telemetry: `gnn.batch_skeleton_hits` / `gnn.batch_skeleton_misses`.
+///    template graph, kept per (kernel, digest, B) in a small MRU list
+///    since topology (src_sl/dst_sl/gcn_coeff/node_graph/node_offset) is
+///    identical across configurations. batch_for() reduces per-config
+///    featurization to rewriting pragma feature slots inside a cached
+///    skeleton. Telemetry: `gnn.batch_skeleton_hits` /
+///    `gnn.batch_skeleton_misses`.
 ///
-/// Thread-safe for featurize()/space()/graph() (mutex-guarded map with
-/// reference-stable, immutable-once-built entries) and for acquire_slot()/
-/// release_slot() (mutex-guarded free list) — the parallel DSE, the
-/// pipelined sweep engine, and trainer stages rely on that. batch_for() is
-/// single-consumer: it returns a reference into its held slot that is
-/// valid (and must not be used concurrently) until the next batch_for()
-/// call on the same factory.
+/// Thread-safe for featurize()/make()/space()/graph() (mutex-guarded map
+/// with reference-stable, immutable-once-built entries) — dataset builds,
+/// the serve batcher and trainer stages rely on that. batch_for() is
+/// single-consumer: one sweep engine per factory.
 class SampleFactory {
  public:
   /// Budget from GNNDSE_TEMPLATE_BUDGET (default 256 MiB).
@@ -89,48 +85,15 @@ class SampleFactory {
   gnn::GraphData featurize(const kir::Kernel& kernel,
                            const hlssim::DesignConfig& cfg);
 
-  /// Featurization without the static-feature template: recomputes the full
-  /// node-feature matrix per config, exactly as the pipeline did before the
-  /// template cache existed. Same bits as featurize(); only slower. The DSE
-  /// tape path uses it so bench_fastpath's baseline measures the
-  /// pre-fast-path pipeline rather than a hybrid that already enjoys the
-  /// template cache.
-  gnn::GraphData featurize_full(const kir::Kernel& kernel,
-                                const hlssim::DesignConfig& cfg);
-
   /// Shared batch assembly for one DSE chunk: one GraphBatch reused by all
   /// three model heads, with the topology skeleton cached per (kernel,
-  /// configs.size()) and only the pragma-dependent feature slots rewritten
-  /// per call. Bit-identical to featurizing each config and calling
-  /// gnn::make_batch.
+  /// digest, configs.size()) and only the pragma-dependent feature slots
+  /// rewritten per call. Bit-identical to featurizing each config and
+  /// calling gnn::make_batch. Single-consumer: the returned reference is
+  /// valid (and must not be used concurrently) until the next batch_for()
+  /// call on the same factory.
   const gnn::GraphBatch& batch_for(const kir::Kernel& kernel,
                                    std::span<const hlssim::DesignConfig> configs);
-
-  /// A leased batch skeleton: the assembled GraphBatch for `size` copies of
-  /// one kernel's template graph, owned by the caller until release_slot().
-  /// Unlike batch_for()'s single shared slot, several leased slots of the
-  /// same (kernel, size) can be live at once — the pipelined sweep engine
-  /// double-buffers two and writes them from different threads. The
-  /// GraphBatch (and its batch_id, which keys the conv layers'
-  /// edge-projection caches) stays stable across write_slot() calls;
-  /// release_slot() parks it on a bounded free list so repeated sweeps
-  /// (serve jobs) reacquire warm skeletons and keep their projections.
-  struct BatchSlot {
-    std::string kernel;
-    std::uint64_t digest = 0;
-    std::size_t size = 0;
-    gnn::GraphBatch batch;
-  };
-  std::shared_ptr<BatchSlot> acquire_slot(const kir::Kernel& kernel,
-                                          std::size_t size);
-  /// Rewrites the slot's pragma-dependent feature slots for `configs`
-  /// (configs.size() must equal slot.size). Bit-identical to featurizing
-  /// each config and calling gnn::make_batch. Thread-safe across distinct
-  /// slots; a single slot is single-writer.
-  void write_slot(const kir::Kernel& kernel,
-                  std::span<const hlssim::DesignConfig> configs,
-                  BatchSlot& slot);
-  void release_slot(std::shared_ptr<BatchSlot> slot);
 
   const dspace::DesignSpace& space(const kir::Kernel& kernel);
   const graphgen::ProgramGraph& graph(const kir::Kernel& kernel);
@@ -157,16 +120,20 @@ class SampleFactory {
   /// estimate fits the budget. Caller holds mu_.
   void enforce_budget_locked();
 
-  /// Free slots, most-recently-released first; capped at kMaxSkeletons (a
-  /// 256-config skeleton of a mid-size kernel is ~13 MB of node features —
-  /// DSE works one kernel at a time, so a small pool covers the
-  /// double-buffered full + tail chunk sizes without ballooning across a
-  /// 9-kernel run). Guarded by mu_; leased slots live outside the list.
+  /// batch_for()'s assembled skeletons, most recently used first. Capped
+  /// at kMaxSkeletons: a 256-config skeleton of a mid-size kernel is ~13 MB
+  /// of node features, and DSE works one kernel at a time, so a small list
+  /// covers a sweep's full and tail chunk sizes (heuristic sweeps alternate
+  /// them) without ballooning across a 9-kernel run. Touched only by
+  /// batch_for(), so it needs no lock.
+  struct Skeleton {
+    std::string kernel;
+    std::uint64_t digest = 0;
+    std::size_t size = 0;
+    gnn::GraphBatch batch;
+  };
   static constexpr std::size_t kMaxSkeletons = 4;
-  std::list<std::shared_ptr<BatchSlot>> free_slots_;
-  /// batch_for()'s single shared lease (released and reacquired per call,
-  /// so the MRU free slot keeps its batch_id across calls).
-  std::shared_ptr<BatchSlot> held_slot_;
+  std::list<Skeleton> skeletons_;
 
   std::mutex mu_;
   struct TemplateEntry {

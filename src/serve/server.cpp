@@ -131,6 +131,12 @@ void Server::reader_loop(const std::shared_ptr<Conn>& conn) {
     if (line.empty()) continue;
     handle_line(line, *conn);
   }
+  // An oversize line cannot be framed safely: answer once, then close (the
+  // writer flushes the outbox and shuts the socket down).
+  if (lines.too_long())
+    push_text(*conn, error_line(-1, "request line exceeds " +
+                                        std::to_string(kMaxLineBytes) +
+                                        " bytes; closing connection"));
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     conn->closed = true;
@@ -298,10 +304,6 @@ std::string Server::handle_poll(const Request& req) {
            std::to_string(obs::counter("dse.configs_explored").value());
     out += ",\"frontier\":" +
            double_str(obs::gauge("dse.frontier_size").value());
-    // Sweep-pipeline health: stage-time / wall-time so far (> 1 means
-    // featurize genuinely overlaps predict) and the live scoring rate.
-    out += ",\"overlap_ratio\":" +
-           double_str(obs::gauge("dse.pipeline.overlap_ratio").value());
     out += ",\"configs_per_sec\":" +
            double_str(obs::gauge("dse.sweep_configs_per_sec").value());
     out += "}";
@@ -320,8 +322,7 @@ std::string Server::handle_poll(const Request& req) {
   out += ",\"stages\":{\"featurize_ms\":" + double_str(r.stages.featurize_ms) +
          ",\"predict_ms\":" + double_str(r.stages.predict_ms) +
          ",\"rank_ms\":" + double_str(r.stages.rank_ms) +
-         ",\"wall_ms\":" + double_str(r.stages.wall_ms) +
-         ",\"overlap_ratio\":" + double_str(r.stages.overlap_ratio) + "}";
+         ",\"wall_ms\":" + double_str(r.stages.wall_ms) + "}";
   out += ",\"top\":[";
   for (std::size_t i = 0; i < r.top.size(); ++i) {
     if (i) out += ",";

@@ -78,15 +78,22 @@ void Socket::close() {
 }
 
 bool LineReader::read_line(std::string* line) {
-  while (true) {
-    const std::size_t nl = buf_.find('\n');
+  while (!too_long_) {
+    const std::size_t nl = buf_.find('\n', scanned_);
+    if (nl == std::string::npos ? buf_.size() > kMaxLineBytes
+                                : nl > kMaxLineBytes) {
+      too_long_ = true;
+      break;
+    }
     if (nl != std::string::npos) {
       std::size_t end = nl;
       if (end > 0 && buf_[end - 1] == '\r') --end;
       line->assign(buf_, 0, end);
       buf_.erase(0, nl + 1);
+      scanned_ = 0;
       return true;
     }
+    scanned_ = buf_.size();
     if (eof_) return false;
     char chunk[4096];
     const long n = sock_.recv_some(chunk, sizeof chunk);
@@ -96,6 +103,7 @@ bool LineReader::read_line(std::string* line) {
     }
     buf_.append(chunk, static_cast<std::size_t>(n));
   }
+  return false;
 }
 
 ListenSocket::ListenSocket(std::uint16_t port) {

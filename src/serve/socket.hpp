@@ -14,6 +14,7 @@
 // a protocol one (docs/serving.md).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -57,20 +58,32 @@ class Socket {
   int fd_ = -1;
 };
 
+/// Longest line a LineReader accepts, excluding the '\n'. The largest
+/// request is a predict or sweep carrying a whole kernel as JSON, a few KB
+/// for the suite and generated kernels.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
 /// Buffered '\n'-delimited line reader over a Socket.
 class LineReader {
  public:
   explicit LineReader(Socket& s) : sock_(s) {}
 
   /// Blocks until one full line arrives. Returns false on EOF/error with
-  /// no complete line buffered. The trailing '\n' (and a preceding '\r')
-  /// is stripped.
+  /// no complete line buffered, or once a line exceeds kMaxLineBytes
+  /// (too_long() then stays true). The trailing '\n' (and a preceding
+  /// '\r') is stripped.
   bool read_line(std::string* line);
+
+  bool too_long() const { return too_long_; }
 
  private:
   Socket& sock_;
   std::string buf_;
+  /// Bytes of buf_ already searched for '\n': each recv scans only the
+  /// new bytes, so a long line costs linear, not quadratic, time.
+  std::size_t scanned_ = 0;
   bool eof_ = false;
+  bool too_long_ = false;
 };
 
 /// Listening socket on 127.0.0.1:`port` (0 = kernel-assigned ephemeral

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "dspace/design_space.hpp"
@@ -137,17 +139,28 @@ TEST(FastPath, UngatedResidualAndSingleObjectiveHeadsBitIdentical) {
 }
 
 TEST(FastPath, BatchForMatchesPerConfigAssembly) {
+  obs::set_enabled(true);
+  obs::Counter& hits = obs::counter("gnn.batch_skeleton_hits");
+  obs::Counter& misses = obs::counter("gnn.batch_skeleton_misses");
   kir::Kernel kernel = kernels::make_kernel("gemm-ncubed");
   SampleFactory factory;
 
-  // Two different config sets of the same size: the second call reuses the
-  // first call's cached skeleton, so it also proves per-config pragma slots
-  // never leak between calls.
-  for (std::uint64_t seed : {1u, 2u}) {
-    const auto configs = sample_configs(kernel, 8, seed);
+  // Alternating chunk sizes, as a heuristic sweep's full and partial chunks
+  // produce: the first visit of each size assembles a skeleton, every
+  // revisit reuses it. Fresh configs per call also prove per-config pragma
+  // slots never leak between calls on one skeleton.
+  const std::size_t sizes[] = {8, 3, 8, 3};
+  for (std::size_t call = 0; call < std::size(sizes); ++call) {
+    SCOPED_TRACE("call " + std::to_string(call));
+    const auto configs = sample_configs(kernel, sizes[call], call + 1);
     const auto graphs = featurize_all(factory, kernel, configs);
     gnn::GraphBatch ref = gnn::make_batch(pointers(graphs));
+    const std::int64_t hits0 = hits.value();
+    const std::int64_t misses0 = misses.value();
     const gnn::GraphBatch& b = factory.batch_for(kernel, configs);
+    const bool revisit = call >= 2;
+    EXPECT_EQ(hits.value() - hits0, revisit ? 1 : 0);
+    EXPECT_EQ(misses.value() - misses0, revisit ? 0 : 1);
 
     expect_bitwise(ref.x, b.x, "batch x");
     expect_bitwise(ref.e, b.e, "batch e");
@@ -160,6 +173,7 @@ TEST(FastPath, BatchForMatchesPerConfigAssembly) {
     EXPECT_EQ(ref.num_nodes, b.num_nodes);
     EXPECT_EQ(ref.num_graphs, b.num_graphs);
   }
+  obs::set_enabled(false);
 }
 
 TEST(FastPath, TemplateInvalidatedOnKernelEdit) {

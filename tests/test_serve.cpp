@@ -1,9 +1,12 @@
 // Serve subsystem tests: protocol parsing, the batching coalescer's
 // triggers and failure isolation, atomic model hot-swap under concurrent
 // predict traffic (run under TSan via scripts/check_tsan.sh), a loopback
-// end-to-end pass through the Server, and the template-eviction scale test
-// (a daemon's working set is many client kernels under one byte budget).
+// end-to-end pass through the Server, oversize-line rejection, and the
+// template-eviction scale test (a daemon's working set is many client
+// kernels under one byte budget).
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
 #include <algorithm>
 #include <atomic>
@@ -382,8 +385,54 @@ TEST(ServeServer, LoopbackPredictStatsDrain) {
   runner.join();
 }
 
-// The pipelined sweep engine runs inside the daemon's sweep jobs while the
-// batcher keeps serving predict traffic. Fire predicts from two
+// A line longer than serve::kMaxLineBytes is never buffered whole: the
+// daemon answers it with one error line and closes that connection, and
+// other connections keep working.
+TEST(ServeServer, OversizeLineIsRejectedAndConnectionClosed) {
+  ModelSlot slot;
+  slot.install(make_snapshot(5));
+  model::SampleFactory factory;
+  serve::ServerOptions so;
+  so.port = 0;
+  serve::Server server(slot, factory, so);
+  std::thread runner([&] { server.run(); });
+
+  {
+    serve::Socket sock = serve::connect_to("127.0.0.1", server.port());
+    // A daemon that waits for the end of the line never answers: fail
+    // after 10 s instead of hanging.
+    const timeval timeout{10, 0};
+    ::setsockopt(sock.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    serve::LineReader lines(sock);
+    // No newline anywhere: the reader must give up at the cap instead of
+    // waiting for the end of the line.
+    const std::string huge(serve::kMaxLineBytes + 8192, 'x');
+    ASSERT_TRUE(sock.send_all(huge.data(), huge.size()));
+    std::string err;
+    ASSERT_TRUE(lines.read_line(&err));
+    EXPECT_NE(err.find("\"ok\":false"), std::string::npos) << err;
+    EXPECT_NE(err.find("exceeds"), std::string::npos) << err;
+    std::string more;
+    EXPECT_FALSE(lines.read_line(&more));  // server closed the connection
+  }
+
+  kir::Kernel k = test_kernel();
+  serve::Socket sock = serve::connect_to("127.0.0.1", server.port());
+  serve::LineReader lines(sock);
+  ASSERT_TRUE(sock.send_line("{\"kind\":\"predict\",\"id\":1,\"kernel\":" +
+                             kernel_json_line(k) + "}"));
+  std::string resp;
+  ASSERT_TRUE(lines.read_line(&resp));
+  EXPECT_NE(resp.find("\"id\":1,\"ok\":true"), std::string::npos) << resp;
+
+  ASSERT_TRUE(sock.send_line("{\"kind\":\"admin\",\"op\":\"drain\",\"id\":9}"));
+  std::string drained;
+  ASSERT_TRUE(lines.read_line(&drained));
+  runner.join();
+}
+
+// The sweep engine runs inside the daemon's sweep jobs while the batcher
+// keeps serving predict traffic. Fire predicts from two
 // connections for the whole life of a sweep job (this binary runs under
 // TSan via scripts/check_tsan.sh — the point is the concurrency, not the
 // sweep's outcome) and require every predict to succeed and the terminal
@@ -453,9 +502,13 @@ TEST(ServeStress, SweepUnderConcurrentPredictFire) {
   f2.join();
 
   EXPECT_GT(fired.load(), 0);
-  EXPECT_NE(terminal.find("\"stages\":{\"featurize_ms\":"), std::string::npos)
-      << terminal;
-  EXPECT_NE(terminal.find("\"overlap_ratio\":"), std::string::npos);
+  // Exactly the four stage timings, wall_ms last.
+  const auto stages = terminal.find("\"stages\":{\"featurize_ms\":");
+  ASSERT_NE(stages, std::string::npos) << terminal;
+  const std::string obj =
+      terminal.substr(stages, terminal.find('}', stages) - stages);
+  EXPECT_EQ(std::count(obj.begin(), obj.end(), ','), 3) << obj;
+  EXPECT_NE(obj.find(",\"wall_ms\":"), std::string::npos) << obj;
 
   ASSERT_TRUE(sock.send_line("{\"kind\":\"admin\",\"op\":\"drain\",\"id\":9}"));
   std::string drained;
