@@ -84,46 +84,6 @@ const Tensor& InferenceSession::add(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-const Tensor& InferenceSession::sub(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "sub");
-  Tensor& out = next(a.shape(), /*zero=*/false);
-  const float* ap = a.data();
-  const float* bp = b.data();
-  float* op = out.data();
-  util::parallel_for(out.numel(), kElemGrain,
-                     [&](std::int64_t begin, std::int64_t end) {
-                       for (std::int64_t i = begin; i < end; ++i)
-                         op[i] = ap[i] - bp[i];
-                     });
-  return out;
-}
-
-const Tensor& InferenceSession::mul(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "mul");
-  Tensor& out = next(a.shape(), /*zero=*/false);
-  const float* ap = a.data();
-  const float* bp = b.data();
-  float* op = out.data();
-  util::parallel_for(out.numel(), kElemGrain,
-                     [&](std::int64_t begin, std::int64_t end) {
-                       for (std::int64_t i = begin; i < end; ++i)
-                         op[i] = ap[i] * bp[i];
-                     });
-  return out;
-}
-
-const Tensor& InferenceSession::scale(const Tensor& a, float s) {
-  Tensor& out = next(a.shape(), /*zero=*/false);
-  const float* ap = a.data();
-  float* op = out.data();
-  util::parallel_for(out.numel(), kElemGrain,
-                     [&](std::int64_t begin, std::int64_t end) {
-                       for (std::int64_t i = begin; i < end; ++i)
-                         op[i] = ap[i] * s;
-                     });
-  return out;
-}
-
 const Tensor& InferenceSession::add_rowvec(const Tensor& a,
                                            const Tensor& bias) {
   if (bias.numel() != a.cols())
@@ -137,49 +97,6 @@ const Tensor& InferenceSession::add_rowvec(const Tensor& a,
     for (std::int64_t i = begin; i < end; ++i)
       for (std::int64_t j = 0; j < c; ++j)
         op[i * c + j] = ap[i * c + j] + bp[j];
-  });
-  return out;
-}
-
-const Tensor& InferenceSession::concat_cols(
-    const std::vector<const Tensor*>& parts) {
-  if (parts.empty()) throw std::invalid_argument("concat_cols: empty input");
-  const std::int64_t r = parts[0]->rows();
-  std::int64_t total_c = 0;
-  for (const Tensor* p : parts) {
-    if (p->rows() != r)
-      throw std::invalid_argument("concat_cols: row count mismatch");
-    total_c += p->cols();
-  }
-  Tensor& out = next({r, total_c}, /*zero=*/false);
-  float* op = out.data();
-  util::parallel_for(r, row_grain(total_c),
-                     [&](std::int64_t begin, std::int64_t end) {
-                       for (std::int64_t i = begin; i < end; ++i) {
-                         std::int64_t off = 0;
-                         for (const Tensor* p : parts) {
-                           const std::int64_t c = p->cols();
-                           std::copy_n(p->data() + i * c, c,
-                                       op + i * total_c + off);
-                           off += c;
-                         }
-                       }
-                     });
-  return out;
-}
-
-const Tensor& InferenceSession::row_sum(const Tensor& a) {
-  const std::int64_t r = a.rows(), c = a.cols();
-  Tensor& out = next({r, 1}, /*zero=*/false);
-  const float* ap = a.data();
-  float* op = out.data();
-  // Ascending-j accumulation per row, as in Tape::row_sum; rows are
-  // independent so neither the fan-out nor the vector lanes reorder
-  // additions.
-  static obs::SimdDispatch dispatch("row_sum");
-  const util::SimdLevel lvl = dispatch.level();
-  util::parallel_for(r, row_grain(c), [&](std::int64_t begin, std::int64_t end) {
-    simd::row_sum_range(lvl, ap, c, op, begin, end);
   });
   return out;
 }
@@ -240,24 +157,6 @@ const Tensor& InferenceSession::gated_mix(const Tensor& m, const Tensor& beta,
   return out;
 }
 
-const Tensor& InferenceSession::mul_colbcast(const std::vector<float>& col,
-                                             const Tensor& x) {
-  if (static_cast<std::int64_t>(col.size()) != x.rows())
-    throw std::invalid_argument("mul_colbcast: col length != rows");
-  const std::int64_t r = x.rows(), c = x.cols();
-  Tensor& out = next({r, c}, /*zero=*/false);
-  const float* cp = col.data();
-  const float* xp = x.data();
-  float* op = out.data();
-  util::parallel_for(r, row_grain(c), [&](std::int64_t begin, std::int64_t end) {
-    for (std::int64_t i = begin; i < end; ++i) {
-      const float s = cp[i];
-      for (std::int64_t j = 0; j < c; ++j) op[i * c + j] = s * xp[i * c + j];
-    }
-  });
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Nonlinearities: the exact per-element formulas of the Tape ops.
 // ---------------------------------------------------------------------------
@@ -265,8 +164,7 @@ const Tensor& InferenceSession::mul_colbcast(const std::vector<float>& col,
 namespace {
 
 template <typename F>
-const Tensor& map_unary(InferenceSession& s, Tensor& out, const Tensor& in,
-                        F f) {
+const Tensor& map_unary(Tensor& out, const Tensor& in, F f) {
   const float* ip = in.data();
   float* op = out.data();
   util::parallel_for(in.numel(), kElemGrain,
@@ -274,7 +172,6 @@ const Tensor& map_unary(InferenceSession& s, Tensor& out, const Tensor& in,
                        for (std::int64_t i = begin; i < end; ++i)
                          op[i] = f(ip[i]);
                      });
-  (void)s;
   return out;
 }
 
@@ -282,26 +179,26 @@ const Tensor& map_unary(InferenceSession& s, Tensor& out, const Tensor& in,
 
 const Tensor& InferenceSession::relu(const Tensor& a) {
   Tensor& out = next(a.shape(), /*zero=*/false);
-  return map_unary(*this, out, a, [](float x) { return x > 0 ? x : 0.0f; });
+  return map_unary(out, a, [](float x) { return x > 0 ? x : 0.0f; });
 }
 
 const Tensor& InferenceSession::leaky_relu(const Tensor& a,
                                            float negative_slope) {
   Tensor& out = next(a.shape(), /*zero=*/false);
   const float s = negative_slope;
-  return map_unary(*this, out, a, [s](float x) { return x > 0 ? x : s * x; });
+  return map_unary(out, a, [s](float x) { return x > 0 ? x : s * x; });
 }
 
 const Tensor& InferenceSession::elu(const Tensor& a, float alpha) {
   Tensor& out = next(a.shape(), /*zero=*/false);
-  return map_unary(*this, out, a, [alpha](float x) {
+  return map_unary(out, a, [alpha](float x) {
     return x > 0 ? x : alpha * (std::exp(x) - 1.0f);
   });
 }
 
 const Tensor& InferenceSession::sigmoid(const Tensor& a) {
   Tensor& out = next(a.shape(), /*zero=*/false);
-  return map_unary(*this, out, a, [](float x) {
+  return map_unary(out, a, [](float x) {
     // Branch on sign for numerical stability (same as Tape::sigmoid).
     if (x >= 0) {
       const float e = std::exp(-x);
@@ -314,30 +211,12 @@ const Tensor& InferenceSession::sigmoid(const Tensor& a) {
 
 const Tensor& InferenceSession::tanh(const Tensor& a) {
   Tensor& out = next(a.shape(), /*zero=*/false);
-  return map_unary(*this, out, a, [](float x) { return std::tanh(x); });
+  return map_unary(out, a, [](float x) { return std::tanh(x); });
 }
 
 // ---------------------------------------------------------------------------
 // Graph primitives.
 // ---------------------------------------------------------------------------
-
-const Tensor& InferenceSession::gather_rows(
-    const Tensor& a, const std::vector<std::int32_t>& idx) {
-  const std::int64_t c = a.cols();
-  Tensor& out = next({static_cast<std::int64_t>(idx.size()), c},
-                     /*zero=*/false);
-  const float* ap = a.data();
-  float* op = out.data();
-  util::parallel_for(static_cast<std::int64_t>(idx.size()), row_grain(c),
-                     [&](std::int64_t begin, std::int64_t end) {
-                       for (std::int64_t i = begin; i < end; ++i)
-                         std::copy_n(
-                             ap + static_cast<std::int64_t>(idx[
-                                      static_cast<std::size_t>(i)]) * c,
-                             c, op + i * c);
-                     });
-  return out;
-}
 
 const Tensor& InferenceSession::scatter_add_rows(
     const Tensor& a, const std::vector<std::int32_t>& idx,
@@ -439,7 +318,7 @@ const Tensor& InferenceSession::edge_attention_scores(
   const float* kp = k.data();
   const float* ep = ek.data();
   float* op = out.data();
-  // Disjoint per-edge writes; ascending-d accumulation matches row_sum.
+  // Disjoint per-edge writes; ascending-d accumulation matches Tape::row_sum.
   static obs::SimdDispatch dispatch("edge_attention_scores");
   const util::SimdLevel lvl = dispatch.level();
   util::parallel_for(e, row_grain(d), [&](std::int64_t begin, std::int64_t end) {

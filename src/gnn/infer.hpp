@@ -49,19 +49,9 @@ class InferenceSession {
                                const tensor::Tensor& w,
                                const tensor::Tensor* bias);
   const tensor::Tensor& add(const tensor::Tensor& a, const tensor::Tensor& b);
-  const tensor::Tensor& sub(const tensor::Tensor& a, const tensor::Tensor& b);
-  const tensor::Tensor& mul(const tensor::Tensor& a, const tensor::Tensor& b);
-  const tensor::Tensor& scale(const tensor::Tensor& a, float s);
   const tensor::Tensor& add_rowvec(const tensor::Tensor& a,
                                    const tensor::Tensor& bias);
-  const tensor::Tensor& concat_cols(
-      const std::vector<const tensor::Tensor*>& parts);
-  const tensor::Tensor& row_sum(const tensor::Tensor& a);
   const tensor::Tensor& mul_colbcast(const tensor::Tensor& col,
-                                     const tensor::Tensor& x);
-  /// Overload for coefficient lists kept as raw floats (gcn_coeff): saves
-  /// the Tape path's per-call Tensor materialization of the column.
-  const tensor::Tensor& mul_colbcast(const std::vector<float>& col,
                                      const tensor::Tensor& x);
 
   // Nonlinearities.
@@ -73,8 +63,6 @@ class InferenceSession {
   const tensor::Tensor& tanh(const tensor::Tensor& a);
 
   // Graph primitives.
-  const tensor::Tensor& gather_rows(const tensor::Tensor& a,
-                                    const std::vector<std::int32_t>& idx);
   const tensor::Tensor& scatter_add_rows(const tensor::Tensor& a,
                                          const std::vector<std::int32_t>& idx,
                                          std::int64_t num_rows);

@@ -6,12 +6,6 @@
 // mul/add so every level produces identical bits.
 #include "gnn/infer_simd.hpp"
 
-#include <atomic>
-#include <mutex>
-
-#include "util/env.hpp"
-#include "util/logging.hpp"
-
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #define GNNDSE_X86 1
@@ -24,15 +18,6 @@ namespace {
 // Scalar bodies — verbatim the loops infer.cpp ran before dispatch existed;
 // these define the reference bits and handle every remainder.
 // ---------------------------------------------------------------------------
-
-void row_sum_scalar(const float* ap, std::int64_t c, float* op,
-                    std::int64_t begin, std::int64_t end) {
-  for (std::int64_t i = begin; i < end; ++i) {
-    float acc = 0.0f;
-    for (std::int64_t j = 0; j < c; ++j) acc += ap[i * c + j];
-    op[i] = acc;
-  }
-}
 
 void residual_concat_scalar(const float* rp, const float* mp, float* op,
                             std::int64_t c, std::int64_t begin,
@@ -115,27 +100,9 @@ void segment_softmax_normalize_scalar(const float* seg_sum,
 #ifdef GNNDSE_X86
 
 // ---------------------------------------------------------------------------
-// AVX2 bodies. Gathers place 8 independent rows/edges in the lanes; each
+// AVX2 bodies. The lanes hold 8 independent columns, edges or rows; each
 // lane's arithmetic replays the scalar order exactly.
 // ---------------------------------------------------------------------------
-
-__attribute__((target("avx2"))) void row_sum_avx2(const float* ap,
-                                                  std::int64_t c, float* op,
-                                                  std::int64_t begin,
-                                                  std::int64_t end) {
-  std::int64_t i = begin;
-  const __m256i stride = _mm256_mullo_epi32(
-      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-      _mm256_set1_epi32(static_cast<int>(c)));
-  for (; i + 8 <= end; i += 8) {
-    const float* base = ap + i * c;
-    __m256 acc = _mm256_setzero_ps();
-    for (std::int64_t j = 0; j < c; ++j)
-      acc = _mm256_add_ps(acc, _mm256_i32gather_ps(base + j, stride, 4));
-    _mm256_storeu_ps(op + i, acc);
-  }
-  row_sum_scalar(ap, c, op, i, end);
-}
 
 __attribute__((target("avx2"))) void residual_concat_avx2(
     const float* rp, const float* mp, float* op, std::int64_t c,
@@ -180,32 +147,6 @@ __attribute__((target("avx2"))) void gated_mix_avx2(
   }
 }
 
-__attribute__((target("avx2"))) void edge_attention_scores_avx2(
-    const float* qp, const float* kp, const float* ep, const std::int32_t* src,
-    const std::int32_t* dst, std::int64_t d, float scale, float* op,
-    std::int64_t begin, std::int64_t end) {
-  std::int64_t i = begin;
-  const __m256i dv = _mm256_set1_epi32(static_cast<int>(d));
-  const __m256i estride =
-      _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), dv);
-  for (; i + 8 <= end; i += 8) {
-    const __m256i qoff = _mm256_mullo_epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i)), dv);
-    const __m256i koff = _mm256_mullo_epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i)), dv);
-    const float* ebase = ep + i * d;
-    __m256 acc = _mm256_setzero_ps();
-    for (std::int64_t j = 0; j < d; ++j) {
-      const __m256 qv = _mm256_i32gather_ps(qp + j, qoff, 4);
-      const __m256 kv = _mm256_i32gather_ps(kp + j, koff, 4);
-      const __m256 ev = _mm256_i32gather_ps(ebase + j, estride, 4);
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(qv, _mm256_add_ps(kv, ev)));
-    }
-    _mm256_storeu_ps(op + i, _mm256_mul_ps(acc, _mm256_set1_ps(scale)));
-  }
-  edge_attention_scores_scalar(qp, kp, ep, src, dst, d, scale, op, i, end);
-}
-
 // Gather-free edge_attention: per 8-edge block, walk d in 8-column chunks.
 // Each edge contributes one vector of products per chunk (three unaligned
 // row loads, mul, add — contiguous, no gathers); an in-register 8x8
@@ -214,7 +155,7 @@ __attribute__((target("avx2"))) void edge_attention_scores_avx2(
 // edge's columns in ascending-j order — the same order as the scalar body,
 // hence bit-identical. The j-remainder finishes per lane in scalar from
 // the spilled acc; the edge remainder falls through to the scalar body.
-__attribute__((target("avx2"))) void edge_attention_scores_avx2_transpose(
+__attribute__((target("avx2"))) void edge_attention_scores_avx2(
     const float* qp, const float* kp, const float* ep, const std::int32_t* src,
     const std::int32_t* dst, std::int64_t d, float scale, float* op,
     std::int64_t begin, std::int64_t end) {
@@ -356,52 +297,6 @@ __attribute__((target("avx2"))) void segment_softmax_normalize_avx2(
 // the avx512 level (the dispatch switch below).
 // ---------------------------------------------------------------------------
 
-__attribute__((target("avx512f"))) void row_sum_avx512(const float* ap,
-                                                       std::int64_t c,
-                                                       float* op,
-                                                       std::int64_t begin,
-                                                       std::int64_t end) {
-  std::int64_t i = begin;
-  const __m512i stride = _mm512_mullo_epi32(
-      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
-      _mm512_set1_epi32(static_cast<int>(c)));
-  for (; i + 16 <= end; i += 16) {
-    const float* base = ap + i * c;
-    __m512 acc = _mm512_setzero_ps();
-    for (std::int64_t j = 0; j < c; ++j)
-      acc = _mm512_add_ps(acc, _mm512_i32gather_ps(stride, base + j, 4));
-    _mm512_storeu_ps(op + i, acc);
-  }
-  row_sum_scalar(ap, c, op, i, end);
-}
-
-__attribute__((target("avx512f"))) void edge_attention_scores_avx512(
-    const float* qp, const float* kp, const float* ep, const std::int32_t* src,
-    const std::int32_t* dst, std::int64_t d, float scale, float* op,
-    std::int64_t begin, std::int64_t end) {
-  std::int64_t i = begin;
-  const __m512i dv = _mm512_set1_epi32(static_cast<int>(d));
-  const __m512i estride = _mm512_mullo_epi32(
-      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
-      dv);
-  for (; i + 16 <= end; i += 16) {
-    const __m512i qoff =
-        _mm512_mullo_epi32(_mm512_loadu_si512(dst + i), dv);
-    const __m512i koff =
-        _mm512_mullo_epi32(_mm512_loadu_si512(src + i), dv);
-    const float* ebase = ep + i * d;
-    __m512 acc = _mm512_setzero_ps();
-    for (std::int64_t j = 0; j < d; ++j) {
-      const __m512 qv = _mm512_i32gather_ps(qoff, qp + j, 4);
-      const __m512 kv = _mm512_i32gather_ps(koff, kp + j, 4);
-      const __m512 ev = _mm512_i32gather_ps(estride, ebase + j, 4);
-      acc = _mm512_add_ps(acc, _mm512_mul_ps(qv, _mm512_add_ps(kv, ev)));
-    }
-    _mm512_storeu_ps(op + i, _mm512_mul_ps(acc, _mm512_set1_ps(scale)));
-  }
-  edge_attention_scores_scalar(qp, kp, ep, src, dst, d, scale, op, i, end);
-}
-
 __attribute__((target("avx512f"))) void weighted_scatter_add_avx512(
     const float* alpha, const float* vp, const float* ep,
     const std::int32_t* src, const std::int32_t* dst, std::int64_t c,
@@ -476,54 +371,11 @@ __attribute__((target("avx512f"))) void residual_concat_avx512(
 
 #endif  // GNNDSE_X86
 
-std::atomic<int> g_edge_attn{-1};  // -1 = not yet resolved
-std::once_flag g_edge_attn_once;
-
 }  // namespace
-
-EdgeAttnVariant edge_attn_variant() {
-  int v = g_edge_attn.load(std::memory_order_relaxed);
-  if (v < 0) {
-    std::call_once(g_edge_attn_once, [] {
-      const std::string req = util::env_str("GNNDSE_EDGE_ATTN", "gather");
-      EdgeAttnVariant var = EdgeAttnVariant::kGather;
-      if (req == "transpose") {
-        var = EdgeAttnVariant::kTranspose;
-      } else if (req != "gather") {
-        util::log_warn("GNNDSE_EDGE_ATTN=", req,
-                       " not recognized (gather|transpose); using gather");
-      }
-      g_edge_attn.store(static_cast<int>(var), std::memory_order_relaxed);
-    });
-    v = g_edge_attn.load(std::memory_order_relaxed);
-  }
-  return static_cast<EdgeAttnVariant>(v);
-}
-
-EdgeAttnVariant set_edge_attn_variant(EdgeAttnVariant v) {
-  edge_attn_variant();  // make sure env resolution never overwrites us later
-  g_edge_attn.store(static_cast<int>(v), std::memory_order_relaxed);
-  return v;
-}
-
-const char* edge_attn_variant_name(EdgeAttnVariant v) {
-  return v == EdgeAttnVariant::kTranspose ? "transpose" : "gather";
-}
 
 // ---------------------------------------------------------------------------
 // Dispatch. On non-x86 every level maps to scalar.
 // ---------------------------------------------------------------------------
-
-void row_sum_range(SimdLevel level, const float* ap, std::int64_t c, float* op,
-                   std::int64_t begin, std::int64_t end) {
-#ifdef GNNDSE_X86
-  if (level == SimdLevel::kAvx512) return row_sum_avx512(ap, c, op, begin, end);
-  if (level == SimdLevel::kAvx2) return row_sum_avx2(ap, c, op, begin, end);
-#else
-  (void)level;
-#endif
-  row_sum_scalar(ap, c, op, begin, end);
-}
 
 void residual_concat_range(SimdLevel level, const float* rp, const float* mp,
                            float* op, std::int64_t c, std::int64_t begin,
@@ -560,16 +412,11 @@ void edge_attention_scores_range(SimdLevel level, const float* qp,
                                  float scale, float* op, std::int64_t begin,
                                  std::int64_t end) {
 #ifdef GNNDSE_X86
-  if (level == SimdLevel::kAvx512)
-    return edge_attention_scores_avx512(qp, kp, ep, src, dst, d, scale, op,
-                                        begin, end);
-  if (level == SimdLevel::kAvx2) {
-    if (edge_attn_variant() == EdgeAttnVariant::kTranspose)
-      return edge_attention_scores_avx2_transpose(qp, kp, ep, src, dst, d,
-                                                  scale, op, begin, end);
+  // The avx512 level reuses the AVX2 body: a 16-lane gather body measured
+  // slower than scalar (docs/performance.md), this one faster.
+  if (level != SimdLevel::kScalar)
     return edge_attention_scores_avx2(qp, kp, ep, src, dst, d, scale, op,
                                       begin, end);
-  }
 #else
   (void)level;
 #endif

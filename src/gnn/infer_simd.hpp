@@ -4,11 +4,11 @@
 // Every function computes the exact per-element expressions of the scalar
 // loop it replaces, in the exact same order. Vectorization only ever
 // crosses *independent* rows/edges/columns:
-//   * per-row reductions (row_sum, edge_attention_scores) put 8/16
-//     different rows or edges in the vector lanes via gathers — each
-//     lane's additions stay in ascending-j order, so the bits match the
-//     scalar loop no matter how rows are split across lanes, blocks, or
-//     threads;
+//   * the per-edge reduction (edge_attention_scores) loads 8 edges' rows
+//     and transposes their products in registers so each lane holds one
+//     edge — each lane's additions stay in ascending-j order, so the bits
+//     match the scalar loop no matter how edges are split across lanes,
+//     blocks, or threads;
 //   * order-sensitive cross-row accumulation (weighted_scatter_add's
 //     colliding destinations) stays serial over edges and vectorizes only
 //     the per-edge column sweep (disjoint writes);
@@ -21,6 +21,12 @@
 // The `begin`/`end` pairs are row or edge ranges so infer.cpp can fan the
 // helpers out across the thread pool; the dispatch level is resolved once
 // per op call (obs/simd_counters.hpp) and passed into every chunk.
+//
+// residual_concat, gated_mix and weighted_scatter_add have AVX-512 bodies
+// (wide contiguous column sweeps). edge_attention_scores, edge_pair_scores
+// and segment_softmax_normalize run their AVX2 body at the avx512 level:
+// they are bound by per-edge row loads or gathers, which 16 lanes do not
+// speed up (docs/performance.md has the measurements).
 #pragma once
 
 #include <cstdint>
@@ -30,10 +36,6 @@
 namespace gnndse::gnn::simd {
 
 using util::SimdLevel;
-
-/// op[i] = sum_j ap[i*c + j]  for rows [begin, end), ascending j.
-void row_sum_range(SimdLevel level, const float* ap, std::int64_t c, float* op,
-                   std::int64_t begin, std::int64_t end);
 
 /// orow = [ r | m | r - m ] for rows [begin, end); op row stride is 3c.
 void residual_concat_range(SimdLevel level, const float* rp, const float* mp,
@@ -45,24 +47,6 @@ void residual_concat_range(SimdLevel level, const float* rp, const float* mp,
 void gated_mix_range(SimdLevel level, const float* mp, const float* bp,
                      const float* dp, float* op, std::int64_t c,
                      std::int64_t begin, std::int64_t end);
-
-/// Which AVX2 body edge_attention_scores_range uses at the kAvx2 level.
-/// kGather: one edge per lane, three gathers per column — wins on
-/// gather-rich cores. kTranspose: 8 unaligned row loads and an in-register
-/// 8x8 transpose per 8-edge x 8-column block, no gathers — wins on cores
-/// where gathers are microcoded (the ~0.94x case in docs/performance.md).
-/// Both accumulate each edge's products in ascending-j order, so they are
-/// bit-identical to the scalar body and to each other.
-enum class EdgeAttnVariant { kGather, kTranspose };
-
-/// The active variant: GNNDSE_EDGE_ATTN=gather|transpose (default gather,
-/// unknown values warn and fall back), resolved once on first use.
-EdgeAttnVariant edge_attn_variant();
-
-/// In-process override for tests/benchmarks; returns the applied variant.
-EdgeAttnVariant set_edge_attn_variant(EdgeAttnVariant v);
-
-const char* edge_attn_variant_name(EdgeAttnVariant v);
 
 /// op[e] = (sum_j qp[dst[e]*d + j] * (kp[src[e]*d + j] + ep[e*d + j])) * scale
 /// for edges [begin, end), ascending j.

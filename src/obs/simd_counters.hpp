@@ -7,7 +7,7 @@
 // after obs::reset_all() still shows the live level. With telemetry
 // disabled the cost is the counters' single relaxed-flag check.
 //
-//   static obs::SimdDispatch dispatch("row_sum");
+//   static obs::SimdDispatch dispatch("residual_concat");
 //   const util::SimdLevel lvl = dispatch.level();
 //   ... switch kernel variant on lvl ...
 #pragma once

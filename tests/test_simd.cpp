@@ -150,7 +150,7 @@ TEST(SimdKernels, FusedKernelsBitIdenticalAcrossLevelsAndThreads) {
 
     // Scalar single-thread reference for every kernel.
     struct Results {
-      Tensor row_sum, residual, gated, eattn, epair, wscatter, ssmax;
+      Tensor residual, gated, eattn, epair, wscatter, ssmax;
     };
     auto run = [&](SimdLevel lvl, int threads) {
       util::set_parallel_threads(threads);
@@ -158,7 +158,6 @@ TEST(SimdKernels, FusedKernelsBitIdenticalAcrossLevelsAndThreads) {
       gnn::InferenceSession s;
       s.begin();
       Results r;
-      r.row_sum = s.row_sum(x);
       r.residual = s.residual_concat(x, y);
       r.gated = s.gated_mix(x, beta, cat);
       r.eattn = s.edge_attention_scores(q, k, ek, src, dst, 0.25f);
@@ -174,7 +173,6 @@ TEST(SimdKernels, FusedKernelsBitIdenticalAcrossLevelsAndThreads) {
         const std::string tag = std::string(util::simd_level_name(lvl)) +
                                 " threads=" + std::to_string(threads) +
                                 " c=" + std::to_string(c);
-        expect_bitwise(ref.row_sum, got.row_sum, "row_sum " + tag);
         expect_bitwise(ref.residual, got.residual, "residual_concat " + tag);
         expect_bitwise(ref.gated, got.gated, "gated_mix " + tag);
         expect_bitwise(ref.eattn, got.eattn, "edge_attention_scores " + tag);
@@ -187,18 +185,8 @@ TEST(SimdKernels, FusedKernelsBitIdenticalAcrossLevelsAndThreads) {
   }
 }
 
-/// Restores the gather default on exit (tests mutate the process-wide
-/// variant knob).
-struct EdgeAttnGuard {
-  ~EdgeAttnGuard() {
-    gnn::simd::set_edge_attn_variant(gnn::simd::EdgeAttnVariant::kGather);
-  }
-};
-
 TEST(SimdKernels, EdgeAttentionVariantsBitIdenticalToScalar) {
   DispatchGuard guard;
-  EdgeAttnGuard vguard;
-  using gnn::simd::EdgeAttnVariant;
   util::Rng rng(29);
   const std::int64_t kN = 41;
   // Edge counts and widths with full 8x8 blocks and remainders on both
@@ -219,32 +207,28 @@ TEST(SimdKernels, EdgeAttentionVariantsBitIdenticalToScalar) {
           SimdLevel::kScalar, q.data(), k.data(), ek.data(), src.data(),
           dst.data(), d, 0.125f, ref.data(), 0, e);
       for (SimdLevel lvl : available_levels()) {
-        for (EdgeAttnVariant var :
-             {EdgeAttnVariant::kGather, EdgeAttnVariant::kTranspose}) {
-          ASSERT_EQ(gnn::simd::set_edge_attn_variant(var), var);
-          const std::string tag =
-              std::string("edge_attention ") + util::simd_level_name(lvl) +
-              "/" + gnn::simd::edge_attn_variant_name(var) +
-              " e=" + std::to_string(e) + " d=" + std::to_string(d);
-          std::vector<float> got(static_cast<std::size_t>(e), 0.0f);
+        const std::string tag = std::string("edge_attention ") +
+                                util::simd_level_name(lvl) +
+                                " e=" + std::to_string(e) +
+                                " d=" + std::to_string(d);
+        std::vector<float> got(static_cast<std::size_t>(e), 0.0f);
+        gnn::simd::edge_attention_scores_range(
+            lvl, q.data(), k.data(), ek.data(), src.data(), dst.data(), d,
+            0.125f, got.data(), 0, e);
+        EXPECT_EQ(ref, got) << tag;
+        // Partial edge range (threaded chunks start mid-array): the
+        // untouched prefix/suffix must stay zero.
+        if (e > 4) {
+          std::vector<float> part(static_cast<std::size_t>(e), 0.0f);
           gnn::simd::edge_attention_scores_range(
               lvl, q.data(), k.data(), ek.data(), src.data(), dst.data(), d,
-              0.125f, got.data(), 0, e);
-          EXPECT_EQ(ref, got) << tag;
-          // Partial edge range (threaded chunks start mid-array): the
-          // untouched prefix/suffix must stay zero.
-          if (e > 4) {
-            std::vector<float> part(static_cast<std::size_t>(e), 0.0f);
-            gnn::simd::edge_attention_scores_range(
-                lvl, q.data(), k.data(), ek.data(), src.data(), dst.data(),
-                d, 0.125f, part.data(), 3, e - 1);
-            for (std::int64_t i = 0; i < e; ++i) {
-              const float want =
-                  (i >= 3 && i < e - 1) ? ref[static_cast<std::size_t>(i)]
-                                        : 0.0f;
-              ASSERT_EQ(part[static_cast<std::size_t>(i)], want)
-                  << tag << " partial edge " << i;
-            }
+              0.125f, part.data(), 3, e - 1);
+          for (std::int64_t i = 0; i < e; ++i) {
+            const float want =
+                (i >= 3 && i < e - 1) ? ref[static_cast<std::size_t>(i)]
+                                      : 0.0f;
+            ASSERT_EQ(part[static_cast<std::size_t>(i)], want)
+                << tag << " partial edge " << i;
           }
         }
       }
@@ -252,49 +236,40 @@ TEST(SimdKernels, EdgeAttentionVariantsBitIdenticalToScalar) {
   }
 }
 
-TEST(SimdKernels, EdgeAttentionVariantKnob) {
-  EdgeAttnGuard vguard;
-  using gnn::simd::EdgeAttnVariant;
-  // The override wins over whatever the env resolved to and reports back
-  // the applied variant; names round-trip for diagnostics.
-  EXPECT_EQ(gnn::simd::set_edge_attn_variant(EdgeAttnVariant::kTranspose),
-            EdgeAttnVariant::kTranspose);
-  EXPECT_EQ(gnn::simd::edge_attn_variant(), EdgeAttnVariant::kTranspose);
-  EXPECT_STREQ(gnn::simd::edge_attn_variant_name(EdgeAttnVariant::kTranspose),
-               "transpose");
-  EXPECT_EQ(gnn::simd::set_edge_attn_variant(EdgeAttnVariant::kGather),
-            EdgeAttnVariant::kGather);
-  EXPECT_STREQ(gnn::simd::edge_attn_variant_name(EdgeAttnVariant::kGather),
-               "gather");
-}
-
 TEST(SimdKernels, RangeHelpersBitIdenticalOnUnalignedViews) {
   DispatchGuard guard;
   util::Rng rng(23);
-  const std::int64_t r = 19, c = 21;
+  const std::int64_t r = 19, d = 21, e = 43;
+  const auto src = random_indices(static_cast<std::size_t>(e), r, rng);
+  const auto dst = random_indices(static_cast<std::size_t>(e), r, rng);
   // Deliberately misaligned bases: every pointer is one float past a
-  // (64-byte-aligned) tensor start, and the row range starts mid-tensor.
-  Tensor abuf = random_tensor({r * c + 1}, rng);
-  Tensor obuf({r + 1});
-  const float* ap = abuf.data() + 1;
+  // (64-byte-aligned) tensor start, so the transpose body's row loads are
+  // unaligned, and the output column is unaligned too.
+  Tensor qbuf = random_tensor({r * d + 1}, rng);
+  Tensor kbuf = random_tensor({r * d + 1}, rng);
+  Tensor ebuf = random_tensor({e * d + 1}, rng);
+  Tensor obuf({e + 1});
+  const float* qp = qbuf.data() + 1;
+  const float* kp = kbuf.data() + 1;
+  const float* ep = ebuf.data() + 1;
   float* op = obuf.data() + 1;
-  util::set_simd_level(SimdLevel::kScalar);
-  std::vector<float> ref(static_cast<std::size_t>(r));
-  gnn::simd::row_sum_range(SimdLevel::kScalar, ap, c, ref.data(), 0, r);
+  std::vector<float> ref(static_cast<std::size_t>(e));
+  gnn::simd::edge_attention_scores_range(SimdLevel::kScalar, qp, kp, ep,
+                                         src.data(), dst.data(), d, 0.25f,
+                                         ref.data(), 0, e);
   for (SimdLevel lvl : available_levels()) {
-    std::memset(op, 0, static_cast<std::size_t>(r) * sizeof(float));
-    gnn::simd::row_sum_range(lvl, ap, c, op, 0, r);
-    for (std::int64_t i = 0; i < r; ++i)
+    std::memset(op, 0, static_cast<std::size_t>(e) * sizeof(float));
+    gnn::simd::edge_attention_scores_range(lvl, qp, kp, ep, src.data(),
+                                           dst.data(), d, 0.25f, op, 0, e);
+    for (std::int64_t i = 0; i < e; ++i)
       ASSERT_EQ(ref[static_cast<std::size_t>(i)], op[i])
-          << "row_sum unaligned " << util::simd_level_name(lvl) << " row " << i;
+          << "edge_attention unaligned " << util::simd_level_name(lvl)
+          << " edge " << i;
   }
 
   // Partial edge range [3, E-2) with unaligned score columns.
-  const std::int64_t e = 43;
   Tensor sa = random_tensor({r + 1}, rng);
   Tensor sb = random_tensor({r + 1}, rng);
-  const auto src = random_indices(static_cast<std::size_t>(e), r, rng);
-  const auto dst = random_indices(static_cast<std::size_t>(e), r, rng);
   std::vector<float> eref(static_cast<std::size_t>(e), 0.0f);
   std::vector<float> egot(static_cast<std::size_t>(e), 0.0f);
   gnn::simd::edge_pair_scores_range(SimdLevel::kScalar, sa.data() + 1,
@@ -337,14 +312,15 @@ TEST(SimdKernels, DispatchCountersAndGaugeTrackActiveLevel) {
   obs::set_enabled(true);
   util::Rng rng(29);
   const Tensor x = random_tensor({5, 8}, rng);
+  const Tensor y = random_tensor({5, 8}, rng);
   for (SimdLevel lvl : available_levels()) {
     util::set_simd_level(lvl);
-    obs::Counter& c = obs::counter(std::string("simd.row_sum.") +
+    obs::Counter& c = obs::counter(std::string("simd.residual_concat.") +
                                    util::simd_level_name(lvl));
     const std::int64_t before = c.value();
     gnn::InferenceSession s;
     s.begin();
-    s.row_sum(x);
+    s.residual_concat(x, y);
     EXPECT_EQ(c.value(), before + 1) << util::simd_level_name(lvl);
     EXPECT_EQ(obs::gauge("tensor.simd_level").value(),
               static_cast<double>(util::simd_level_width(lvl)));
