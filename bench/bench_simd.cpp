@@ -99,6 +99,7 @@ int main() {
   const tensor::Tensor escores = random_tensor({e, 1}, rng);
   const tensor::Tensor alpha = random_tensor({e, 1}, rng);
   const tensor::Tensor w = random_tensor({c, c}, rng);
+  const tensor::Tensor wg = random_tensor({3 * c, 1}, rng);
   std::vector<std::int32_t> src(static_cast<std::size_t>(e)),
       dst(static_cast<std::size_t>(e)), seg(static_cast<std::size_t>(e));
   for (std::size_t i = 0; i < src.size(); ++i) {
@@ -125,6 +126,8 @@ int main() {
        [&] { s.weighted_scatter_add(alpha.data(), x, &ek, src, dst, n); }},
       {"segment_softmax", [&] { s.segment_softmax(escores, seg, n); }},
       {"matmul", [&] { s.matmul(x, w); }},
+      // The TransformerConv gate: [rows,3c] x [3c,1], the n == 1 body.
+      {"matmul_gate", [&] { s.matmul(cat, wg); }},
   };
 
   std::vector<KernelResult> results;

@@ -224,18 +224,39 @@ void Server::handle_line(const std::string& line, Conn& conn) {
   }
 }
 
+void Server::reap_finished_jobs() {
+  std::lock_guard<std::mutex> lock(jobs_mu_);
+  std::vector<std::shared_ptr<SweepJob>> finished;
+  for (const auto& [id, job] : jobs_)
+    if (job->done.load(std::memory_order_acquire)) finished.push_back(job);
+  if (finished.size() <= kMaxFinishedJobs) return;
+  std::sort(finished.begin(), finished.end(),
+            [](const auto& a, const auto& b) { return a->seq < b->seq; });
+  finished.resize(finished.size() - kMaxFinishedJobs);
+  // `done` is the job thread's last store, so these joins return at once.
+  for (const auto& job : finished) {
+    job->thread.join();
+    jobs_.erase(job->job_id);
+  }
+}
+
 std::string Server::handle_sweep(Request& req) {
+  reap_finished_jobs();
   auto job = std::make_shared<SweepJob>();
+  const std::int64_t id = req.id;
   {
+    // The thread starts under the lock, so a concurrent reaper never sees
+    // the job before its thread handle is set.
     std::lock_guard<std::mutex> lock(jobs_mu_);
-    job->job_id = "job-" + std::to_string(next_job_++);
+    job->seq = next_job_++;
+    job->job_id = "job-" + std::to_string(job->seq);
     jobs_[job->job_id] = job;
+    job->thread = std::thread([this, job, r = std::move(req)]() mutable {
+      run_sweep_job(job, std::move(r));
+    });
   }
   obs::add(obs::counter("serve.sweeps"));
-  const std::int64_t id = req.id;
   const std::string job_id = job->job_id;
-  job->thread = std::thread(
-      [this, job, r = std::move(req)]() mutable { run_sweep_job(job, std::move(r)); });
   return ok_head(id) + ",\"kind\":\"sweep\",\"job\":" + json_quote(job_id) +
          "}";
 }
@@ -378,6 +399,7 @@ std::string Server::handle_admin(const Request& req) {
            std::to_string(version) + "}";
   }
   if (req.op == "stats") {
+    reap_finished_jobs();
     SnapshotPtr cur = slot_.current();
     std::size_t num_jobs, running = 0;
     {

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <future>
@@ -33,6 +34,11 @@
 #include "serve/socket.hpp"
 
 namespace gnndse::serve {
+
+/// Finished sweep jobs a daemon keeps for polling. Accepting a sweep or
+/// answering `stats` joins and drops the oldest finished jobs beyond this;
+/// polling a dropped job answers "unknown job".
+inline constexpr std::size_t kMaxFinishedJobs = 64;
 
 struct ServerOptions {
   /// 0 = kernel-assigned ephemeral port; read the outcome from port().
@@ -90,6 +96,7 @@ class Server {
 
   struct SweepJob {
     std::string job_id;
+    int seq = 0;  // the N of "job-N": acceptance order
     std::atomic<bool> cancel{false};
     std::atomic<bool> done{false};
     std::thread thread;
@@ -119,6 +126,8 @@ class Server {
 
   std::string cache_path_for(const std::string& client) const;
   void reap_finished_conns();
+  /// Joins and drops the oldest finished jobs beyond kMaxFinishedJobs.
+  void reap_finished_jobs();
 
   ModelSlot& slot_;
   model::SampleFactory& factory_;

@@ -2,12 +2,14 @@
 //
 // matmul_rows computes rows [i0, i1) of C (+)= A x B on row-major packed
 // operands, walking k in 256-wide panels and columns in 32-float register
-// tiles (see docs/performance.md). Every variant performs the exact same
-// per-element float operations in the same ascending-k order — the vector
-// lanes cover independent output columns, the multiply and add round
-// separately (no FMA contraction at any level), and partial column tiles
-// always run the scalar path — so the result bits are identical at every
-// dispatch level, thread count, and row split.
+// tiles; a single-column B (n == 1) takes a matrix-vector body with 8 rows
+// in the lanes (see docs/performance.md). Every variant performs the exact
+// same per-element float operations in the same ascending-k order — the
+// vector lanes cover independent output columns or rows, the multiply and
+// add round separately (no FMA contraction at any level), the a == 0
+// multiplicand skip is reproduced exactly, and partial column tiles wider
+// than one column run the scalar path — so the result bits are identical
+// at every dispatch level, thread count, and row split.
 //
 // `init`: the first k panel stores instead of accumulating, so the output
 // needs no zero fill. `bias`: added once per element after its final panel

@@ -1,9 +1,9 @@
 // Serve subsystem tests: protocol parsing, the batching coalescer's
 // triggers and failure isolation, atomic model hot-swap under concurrent
 // predict traffic (run under TSan via scripts/check_tsan.sh), a loopback
-// end-to-end pass through the Server, oversize-line rejection, and the
-// template-eviction scale test (a daemon's working set is many client
-// kernels under one byte budget).
+// end-to-end pass through the Server, oversize-line rejection, the cap on
+// retained finished sweep jobs, and the template-eviction scale test (a
+// daemon's working set is many client kernels under one byte budget).
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -513,6 +513,65 @@ TEST(ServeStress, SweepUnderConcurrentPredictFire) {
   ASSERT_TRUE(sock.send_line("{\"kind\":\"admin\",\"op\":\"drain\",\"id\":9}"));
   std::string drained;
   ASSERT_TRUE(lines.read_line(&drained));
+  runner.join();
+}
+
+// A long-lived daemon must not keep every finished sweep: accepting a
+// sweep joins and drops the oldest finished jobs beyond
+// serve::kMaxFinishedJobs, and polling a dropped job answers "unknown job".
+TEST(ServeServer, FinishedSweepJobsAreCapped) {
+  ModelSlot slot;
+  slot.install(make_snapshot(5));
+  model::SampleFactory factory;
+  serve::ServerOptions so;
+  so.port = 0;
+  serve::Server server(slot, factory, so);
+  std::thread runner([&] { server.run(); });
+
+  const std::string kj = kernel_json_line(test_kernel());
+  serve::Socket sock = serve::connect_to("127.0.0.1", server.port());
+  serve::LineReader lines(sock);
+  const auto call = [&](const std::string& request) {
+    std::string resp;
+    EXPECT_TRUE(sock.send_line(request));
+    EXPECT_TRUE(lines.read_line(&resp));
+    return resp;
+  };
+  const auto poll = [&](const std::string& job) {
+    return call("{\"kind\":\"poll\",\"job\":\"" + job + "\"}");
+  };
+  const auto number_after = [](const std::string& s, const std::string& key) {
+    const auto pos = s.find("\"" + key + "\":");
+    EXPECT_NE(pos, std::string::npos) << key << " in " << s;
+    return std::stoul(s.substr(pos + key.size() + 3));
+  };
+
+  // One tiny sweep at a time, each polled until it finishes.
+  std::vector<std::string> jobs;
+  for (std::size_t n = 0; n < serve::kMaxFinishedJobs + 2; ++n) {
+    const std::string resp = call("{\"kind\":\"sweep\",\"kernel\":" + kj +
+                                  ",\"time_limit\":0.01,\"top_m\":1}");
+    const auto jstart = resp.find("\"job\":\"");
+    ASSERT_NE(jstart, std::string::npos) << resp;
+    const auto jpos = jstart + std::strlen("\"job\":\"");
+    jobs.push_back(resp.substr(jpos, resp.find('"', jpos) - jpos));
+    while (poll(jobs.back()).find("\"state\":\"running\"") !=
+           std::string::npos)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  const std::string oldest = poll(jobs.front());
+  EXPECT_NE(oldest.find("\"ok\":false"), std::string::npos) << oldest;
+  EXPECT_NE(oldest.find("unknown job"), std::string::npos) << oldest;
+  const std::string newest = poll(jobs.back());
+  EXPECT_NE(newest.find("\"state\":\"done\""), std::string::npos) << newest;
+
+  const std::string stats = call("{\"kind\":\"admin\",\"op\":\"stats\"}");
+  EXPECT_LE(number_after(stats, "jobs"),
+            serve::kMaxFinishedJobs + number_after(stats, "jobs_running"))
+      << stats;
+
+  call("{\"kind\":\"admin\",\"op\":\"drain\",\"id\":9}");
   runner.join();
 }
 

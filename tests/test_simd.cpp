@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -60,10 +62,16 @@ std::vector<std::int32_t> random_indices(std::size_t n, std::int64_t hi,
   return idx;
 }
 
+/// Compares bit patterns, so a +0 / -0 mismatch fails too.
 void expect_bitwise(const Tensor& a, const Tensor& b, const std::string& what) {
   ASSERT_EQ(a.shape(), b.shape()) << what;
-  for (std::int64_t i = 0; i < a.numel(); ++i)
-    ASSERT_EQ(a.data()[i], b.data()[i]) << what << " element " << i;
+  for (std::int64_t i = 0; i < a.numel(); ++i) {
+    std::uint32_t ua, ub;
+    std::memcpy(&ua, a.data() + i, sizeof ua);
+    std::memcpy(&ub, b.data() + i, sizeof ub);
+    ASSERT_EQ(ua, ub) << what << " element " << i << ": " << a.data()[i]
+                      << " vs " << b.data()[i];
+  }
 }
 
 TEST(SimdKernels, TensorStorageIsCacheLineAligned) {
@@ -117,6 +125,94 @@ TEST(SimdKernels, MatmulBitIdenticalAcrossLevelsShapesAndTranspose) {
       tensor::matmul_bias(a, b, nullptr, out_nb);
       expect_bitwise(ref, out, "matmul_bias");
       expect_bitwise(ref_nb, out_nb, "matmul_bias nullptr");
+    }
+  }
+}
+
+/// A [m,k] holding exact +0 and -0: every row i % 5 == 2 and every column
+/// x % 3 == 1 is all zero, and about a third of the other entries are
+/// zero. The signs of the zeros alternate.
+Tensor zero_heavy_a(std::int64_t m, std::int64_t k, util::Rng& rng) {
+  Tensor t({m, k});
+  for (std::int64_t i = 0; i < m; ++i)
+    for (std::int64_t x = 0; x < k; ++x) {
+      const bool zero = i % 5 == 2 || x % 3 == 1 || rng.uniform(0.0, 1.0) < 0.3;
+      t.at(i * k + x) = zero ? ((i + x) % 2 ? -0.0f : 0.0f)
+                             : static_cast<float>(rng.uniform(-2.0, 2.0));
+    }
+  return t;
+}
+
+/// B [k,n]: finite, except +-inf across every row x whose A column is all
+/// zero (x % 3 == 1). The scalar kernel skips a == 0 products, so those
+/// infinities must never reach an output.
+Tensor inf_rows_b(std::int64_t k, std::int64_t n, util::Rng& rng) {
+  Tensor t = random_tensor({k, n}, rng);
+  for (std::int64_t x = 1; x < k; x += 3)
+    for (std::int64_t j = 0; j < n; ++j)
+      t.at(x * n + j) = (x + j) % 2 ? -INFINITY : INFINITY;
+  return t;
+}
+
+// The a == 0 skip is observable (0 * inf is NaN, -0 + +0 is +0), so every
+// vector body must reproduce it exactly: the matrix-vector body (n == 1,
+// k across the 8-wide blocks and the 256-deep panel), the multi-row full
+// tile with row tails, the bias epilogue, accumulation onto an output
+// prefilled with -0 and finite values, trans_a packing (the tape's
+// weight gradient), and 1 vs 4 threads.
+TEST(SimdKernels, MatmulZeroSkipBitIdenticalAcrossLevelsAndThreads) {
+  DispatchGuard guard;
+  util::Rng rng(23);
+  std::vector<std::array<std::int64_t, 3>> shapes;  // m, k, n
+  for (std::int64_t m : {8, 17, 100})
+    for (std::int64_t k : {1, 7, 8, 192, 300}) shapes.push_back({m, k, 1});
+  for (std::int64_t m : {8, 17, 100, 103})
+    for (std::int64_t k : {7, 64, 300})
+      for (std::int64_t n : {32, 64, 65}) shapes.push_back({m, k, n});
+  // Large enough to fan out over the pool.
+  shapes.push_back({4099, 300, 1});
+  shapes.push_back({1029, 64, 64});
+
+  for (const auto& [m, k, n] : shapes) {
+    const std::string shape = std::to_string(m) + "x" + std::to_string(k) +
+                              "x" + std::to_string(n);
+    const Tensor a = zero_heavy_a(m, k, rng);
+    Tensor a_t({k, m});
+    for (std::int64_t i = 0; i < m; ++i)
+      for (std::int64_t x = 0; x < k; ++x) a_t.at(x * m + i) = a.at(i * k + x);
+    const Tensor b = inf_rows_b(k, n, rng);
+    const Tensor bias = random_tensor({n}, rng);
+    Tensor prefill = random_tensor({m, n}, rng);
+    for (std::int64_t e = 0; e < prefill.numel(); e += 2)
+      prefill.at(e) = -0.0f;
+
+    struct Outs {
+      Tensor acc, acc_t, with_bias;
+    };
+    const auto run = [&] {
+      Outs r{prefill, prefill, Tensor({m, n})};
+      tensor::matmul_acc(a, b, false, false, r.acc);
+      tensor::matmul_acc(a_t, b, true, false, r.acc_t);
+      tensor::matmul_bias(a, b, &bias, r.with_bias);
+      return r;
+    };
+    util::set_parallel_threads(1);
+    util::set_simd_level(SimdLevel::kScalar);
+    const Outs ref = run();
+    for (const Tensor* t : {&ref.acc, &ref.acc_t, &ref.with_bias})
+      for (std::int64_t e = 0; e < t->numel(); ++e)
+        ASSERT_FALSE(std::isnan(t->data()[e])) << shape << " element " << e;
+    for (int threads : {1, 4}) {
+      util::set_parallel_threads(threads);
+      for (SimdLevel lvl : available_levels()) {
+        ASSERT_EQ(util::set_simd_level(lvl), lvl);
+        const std::string tag = shape + " " + util::simd_level_name(lvl) +
+                                " threads=" + std::to_string(threads);
+        const Outs got = run();
+        expect_bitwise(ref.acc, got.acc, "matmul_acc " + tag);
+        expect_bitwise(ref.acc_t, got.acc_t, "matmul_acc trans_a " + tag);
+        expect_bitwise(ref.with_bias, got.with_bias, "matmul_bias " + tag);
+      }
     }
   }
 }
