@@ -6,15 +6,22 @@
 // to the paper.
 #pragma once
 
+#include <fstream>
 #include <string>
+#include <thread>
 
 #include "db/explorer.hpp"
 #include "dse/pipeline.hpp"
 #include "oracle/stack.hpp"
 #include "kernels/kernels.hpp"
 #include "obs/report.hpp"
+#include "util/cpu.hpp"
 #include "util/env.hpp"
 #include "util/logging.hpp"
+
+#ifndef GNNDSE_BENCH_COMMIT
+#define GNNDSE_BENCH_COMMIT "unknown"
+#endif
 
 namespace gnndse::bench {
 
@@ -61,6 +68,33 @@ inline const char* scale_tag() {
       break;
   }
   return "default";
+}
+
+/// CPU model string from /proc/cpuinfo ("unknown" where there is none).
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size())
+      return line.substr(colon + 2);
+  }
+  return "unknown";
+}
+
+/// The `host` block every BENCH_*.json carries: CPU model, cores, active
+/// SIMD level, the source commit the build was configured from, and the
+/// run scale.
+inline std::string host_json() {
+  std::string cpu;
+  for (char c : cpu_model())
+    if (c != '"' && c != '\\') cpu += c;
+  return "{\"cpu\": \"" + cpu + "\", \"cores\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"simd\": \"" +
+         util::simd_level_name(util::active_simd_level()) +
+         "\", \"commit\": \"" GNNDSE_BENCH_COMMIT "\", \"scale\": \"" +
+         scale_tag() + "\"}";
 }
 
 /// Weight-cache prefix shared by the benches that use the standard bundle.

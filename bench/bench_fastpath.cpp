@@ -1,17 +1,20 @@
 // Tape vs tape-free inference: one chunk-shaped batched predict of the
 // main regression head through the autodiff tape forward
 // (Trainer::predict_graphs_tape) and through the tape-free fast path
-// (Trainer::predict_graphs), same inputs. Writes BENCH_fastpath.json with
-// the host's core count, SIMD level and run scale.
+// (Trainer::predict_graphs), same inputs. Then, per kernel (mvt, doitgen),
+// the same 256-config chunk through the full forward (make_batch, every
+// row) and the pragma-delta forward (SampleFactory::batch_for's row plan),
+// with the share of conv rows the plan computes. Writes
+// BENCH_fastpath.json with the host block (bench_common.hpp).
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <thread>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "dse/pipeline.hpp"
-#include "util/cpu.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -69,12 +72,43 @@ int main() {
   const double fast_per_sec = batch / fast_seconds;
   const double speedup = tape_seconds / fast_seconds;
 
+  // Full vs pragma-delta forward on one 256-config chunk per kernel.
+  struct DeltaRow {
+    std::string kernel;
+    double full_per_sec, delta_per_sec, row_share;
+  };
+  std::vector<DeltaRow> delta_rows;
+  const std::size_t chunk = 256;
+  const auto layers = static_cast<std::size_t>(po.gnn_layers);
+  for (const char* name : {"mvt", "doitgen"}) {
+    const kir::Kernel k = kernels::make_kernel(name);
+    std::vector<hlssim::DesignConfig> configs;
+    std::vector<gnn::GraphData> chunk_graphs;
+    for (std::size_t i = 0; i < chunk; ++i) {
+      configs.push_back(factory.space(k).sample(rng));
+      chunk_graphs.push_back(factory.featurize(k, configs.back()));
+    }
+    const gnn::GraphBatch full = gnn::make_batch(
+        std::span<const gnn::GraphData>(chunk_graphs));
+    const gnn::GraphBatch& delta = factory.batch_for(k, configs);
+    trainer->predict_batch(full);
+    const double full_s =
+        median_seconds(reps, [&] { trainer->predict_batch(full); });
+    trainer->predict_batch(delta);
+    const double delta_s =
+        median_seconds(reps, [&] { trainer->predict_batch(delta); });
+    std::int64_t rows = 0;
+    for (std::size_t l = 0; l < layers; ++l)
+      rows += delta.plan->layer(l).num_rows;
+    delta_rows.push_back(
+        {name, chunk / full_s, chunk / delta_s,
+         static_cast<double>(rows) /
+             static_cast<double>(delta.num_nodes * static_cast<std::int64_t>(layers))});
+  }
+
   std::ofstream out("BENCH_fastpath.json");
   out << "{\n"
-      << "  \"host\": {\"cores\": " << std::thread::hardware_concurrency()
-      << ", \"simd\": \""
-      << util::simd_level_name(util::active_simd_level())
-      << "\", \"scale\": \"" << bench::scale_tag() << "\"},\n"
+      << "  \"host\": " << bench::host_json() << ",\n"
       << "  \"inference\": {\n"
       << "    \"batch\": " << batch << ",\n"
       << "    \"tape_seconds\": " << tape_seconds << ",\n"
@@ -82,7 +116,18 @@ int main() {
       << "    \"tape_configs_per_sec\": " << tape_per_sec << ",\n"
       << "    \"fast_configs_per_sec\": " << fast_per_sec << ",\n"
       << "    \"speedup\": " << speedup << "\n"
-      << "  }\n"
+      << "  },\n"
+      << "  \"delta_forward\": [\n";
+  for (std::size_t i = 0; i < delta_rows.size(); ++i) {
+    const DeltaRow& r = delta_rows[i];
+    out << "    {\"kernel\": \"" << r.kernel << "\", \"batch\": " << chunk
+        << ", \"full_configs_per_sec\": " << r.full_per_sec
+        << ", \"delta_configs_per_sec\": " << r.delta_per_sec
+        << ", \"speedup\": " << r.delta_per_sec / r.full_per_sec
+        << ", \"row_share\": " << r.row_share << "}"
+        << (i + 1 < delta_rows.size() ? "," : "") << "\n";
+  }
+  out << "  ]\n"
       << "}\n";
 
   util::Table table("Tape vs fast-path inference");
@@ -93,6 +138,14 @@ int main() {
              util::Table::fmt(fast_per_sec, 1),
              util::Table::fmt(speedup, 2)});
   table.print(std::cout);
+  util::Table dtable("Full vs pragma-delta forward (256-config chunk)");
+  dtable.header({"kernel", "full cfg/s", "delta cfg/s", "speedup", "row share"});
+  for (const DeltaRow& r : delta_rows)
+    dtable.row({r.kernel, util::Table::fmt(r.full_per_sec, 1),
+                util::Table::fmt(r.delta_per_sec, 1),
+                util::Table::fmt(r.delta_per_sec / r.full_per_sec, 2),
+                util::Table::fmt(r.row_share, 3)});
+  dtable.print(std::cout);
   std::cout << "wrote BENCH_fastpath.json\n";
   return 0;
 }

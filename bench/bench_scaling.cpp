@@ -1,12 +1,12 @@
 // Thread-scaling sweep of the parallel execution layer: batched model
 // inference (predict_graphs over a DSE-sized batch) and a full model-driven
 // DSE sweep, each at GNNDSE_THREADS in {1, 2, 4, 8}. Writes
-// BENCH_parallel.json (per-point throughput + speedup vs 1 thread) to seed
-// the perf trajectory; run on a multi-core machine for meaningful speedups.
+// BENCH_parallel.json (host block, per-point throughput + speedup vs 1
+// thread) to seed the perf trajectory; run on a multi-core machine for
+// meaningful speedups.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -52,8 +52,7 @@ void write_json(const std::string& path, const std::vector<ScalePoint>& inf,
                 double batch, const std::vector<ScalePoint>& dse,
                 std::uint64_t dse_configs) {
   std::ofstream out(path);
-  out << "{\n  \"hardware_concurrency\": "
-      << std::thread::hardware_concurrency() << ",\n";
+  out << "{\n  \"host\": " << bench::host_json() << ",\n";
   auto emit = [&out](const char* name, const std::vector<ScalePoint>& pts,
                      const char* unit) {
     out << "  \"" << name << "\": [\n";

@@ -11,7 +11,6 @@
 #include <functional>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -119,11 +118,11 @@ int main() {
       {"residual_concat", [&] { s.residual_concat(x, y); }},
       {"gated_mix", [&] { s.gated_mix(x, beta, cat); }},
       {"edge_attention_scores",
-       [&] { s.edge_attention_scores(x, y, ek, src, dst, 0.125f); }},
+       [&] { s.edge_attention_scores(x, y, ek, src, dst, nullptr, 0.125f); }},
       {"edge_pair_scores",
        [&] { s.edge_pair_scores(s1, s2, src, dst, 0.2f); }},
       {"weighted_scatter_add",
-       [&] { s.weighted_scatter_add(alpha.data(), x, &ek, src, dst, n); }},
+       [&] { s.weighted_scatter_add(alpha.data(), x, &ek, src, dst, nullptr, n); }},
       {"segment_softmax", [&] { s.segment_softmax(escores, seg, n); }},
       {"matmul", [&] { s.matmul(x, w); }},
       // The TransformerConv gate: [rows,3c] x [3c,1], the n == 1 body.
@@ -193,10 +192,7 @@ int main() {
   // ---------------------------------------------------------------------
   std::ofstream out("BENCH_simd.json");
   out << "{\n"
-      << "  \"host\": {\"cores\": " << std::thread::hardware_concurrency()
-      << ", \"simd\": \""
-      << util::simd_level_name(util::active_simd_level())
-      << "\", \"scale\": \"" << bench::scale_tag() << "\"},\n";
+      << "  \"host\": " << bench::host_json() << ",\n";
   out << "  \"kernels\": {\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const KernelResult& kr = results[i];

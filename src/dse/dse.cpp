@@ -68,6 +68,7 @@ DseResult ModelDse::run(const kir::Kernel& kernel, const DseOptions& opts,
       std::max(opts.top_m, opts.beam_width)) * 4;
   eng_opts.util_threshold = opts.util_threshold;
   eng_opts.cancel = opts.cancel;
+  eng_opts.progress = opts.progress;
   SweepEngine engine(models_, factory_, kernel, eng_opts);
 
   std::uint64_t pushed = 0;

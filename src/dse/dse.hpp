@@ -57,6 +57,9 @@ struct DseOptions {
   /// scoring *and enumerating*, and returns with DseResult::cancelled set.
   /// nullptr = never cancelled.
   const std::atomic<bool>* cancel = nullptr;
+  /// This run's live progress, updated after every scored chunk (the
+  /// serve daemon's per-job poll reads it). nullptr = not tracked.
+  SweepProgress* progress = nullptr;
 };
 
 struct DseResult {

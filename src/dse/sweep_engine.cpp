@@ -116,10 +116,17 @@ void SweepEngine::score_pending() {
   obs::add(c_pruned, pruned);
   obs::add(c_explored, static_cast<std::int64_t>(n));
   const double wall_s = timer_.seconds();
+  const double rate =
+      wall_s > 0 ? static_cast<double>(num_scored_) / wall_s : 0.0;
   obs::set(g_elapsed, wall_s);
   obs::set(g_frontier, static_cast<double>(frontier_.size()));
-  if (wall_s > 0)
-    obs::set(g_rate, static_cast<double>(num_scored_) / wall_s);
+  if (wall_s > 0) obs::set(g_rate, rate);
+  if (SweepProgress* p = opts_.progress) {
+    p->configs_explored.store(num_scored_, std::memory_order_relaxed);
+    p->frontier.store(frontier_.size(), std::memory_order_relaxed);
+    p->elapsed_seconds.store(wall_s, std::memory_order_relaxed);
+    p->configs_per_sec.store(rate, std::memory_order_relaxed);
+  }
 }
 
 void SweepEngine::keep_top() {

@@ -20,8 +20,9 @@
 // Telemetry: per-stage histograms `dse.featurize_chunk_ms`,
 // `dse.predict_chunk_ms` and `dse.frontier_keep_ms`, the live
 // `dse.sweep_configs_per_sec` gauge, plus the `dse.search_elapsed_seconds`
-// / `dse.frontier_size` / `dse.configs_explored` progress metrics the serve
-// daemon's heartbeat and poll responses read while a sweep job runs.
+// / `dse.frontier_size` / `dse.configs_explored` progress metrics the
+// heartbeat reads. Those are process-wide; a caller that needs one
+// sweep's own progress (the serve daemon's poll) passes a SweepProgress.
 #pragma once
 
 #include <array>
@@ -63,6 +64,15 @@ struct SweepStageStats {
   std::uint64_t chunks = 0;
 };
 
+/// Live progress of one sweep: written by the engine after every chunk,
+/// readable from any thread while the sweep runs.
+struct SweepProgress {
+  std::atomic<std::uint64_t> configs_explored{0};
+  std::atomic<std::uint64_t> frontier{0};
+  std::atomic<double> elapsed_seconds{0.0};
+  std::atomic<double> configs_per_sec{0.0};
+};
+
 struct SweepEngineOptions {
   /// Configs per scored chunk (one GraphBatch).
   int chunk = 256;
@@ -73,6 +83,8 @@ struct SweepEngineOptions {
   /// Cooperative cancellation (see DseOptions::cancel): once set, pending
   /// configs not yet scored are dropped.
   const std::atomic<bool>* cancel = nullptr;
+  /// This sweep's progress (see DseOptions::progress); nullptr = none.
+  SweepProgress* progress = nullptr;
 };
 
 /// push() every candidate config (full chunks score immediately),

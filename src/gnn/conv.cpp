@@ -16,12 +16,12 @@ namespace {
 
 /// Telemetry for the message-passing hot loop: one conv application and
 /// the number of edge messages it aggregates. Inlined no-op when disabled.
-inline void detail_count_message_pass(const GraphBatch& b) {
+inline void detail_count_message_pass(std::size_t messages) {
   static obs::Counter& c_convs = obs::counter("gnn.conv_forwards");
   static obs::Counter& c_msgs = obs::counter("gnn.edge_messages");
   if (!obs::enabled()) return;
   c_convs.add();
-  c_msgs.add(static_cast<std::int64_t>(b.src_sl.size()));
+  c_msgs.add(static_cast<std::int64_t>(messages));
 }
 
 }  // namespace
@@ -34,7 +34,7 @@ GCNConv::GCNConv(std::int64_t in, std::int64_t out, util::Rng& rng)
     : lin_(in, out, rng) {}
 
 VarId GCNConv::forward(Tape& t, VarId x, const GraphBatch& b) {
-  detail_count_message_pass(b);
+  detail_count_message_pass(b.src_sl.size());
   // Aggregate with fixed symmetric-normalized coefficients over the
   // self-loop-augmented edge list, then transform.
   VarId msg = t.gather_rows(x, b.src_sl);
@@ -46,12 +46,12 @@ VarId GCNConv::forward(Tape& t, VarId x, const GraphBatch& b) {
 }
 
 const Tensor& GCNConv::forward_infer(InferenceSession& s, const Tensor& x,
-                                     const GraphBatch& b) {
-  detail_count_message_pass(b);
+                                     const ConvRows& r) {
+  detail_count_message_pass(r.src_sl.size());
   // Fused gather/mul_colbcast/scatter: same products, same ascending-edge
   // accumulation, no [E, D] intermediates.
-  const Tensor& agg = s.weighted_scatter_add(b.gcn_coeff.data(), x, nullptr,
-                                             b.src_sl, b.dst_sl, b.num_nodes);
+  const Tensor& agg = s.weighted_scatter_add(r.gcn_coeff, x, nullptr, r.src_sl,
+                                             r.dst_sl, nullptr, r.num_rows);
   return lin_.forward_infer(s, agg);
 }
 
@@ -68,7 +68,7 @@ GATConv::GATConv(std::int64_t in, std::int64_t out, util::Rng& rng)
       bias_(Tensor({out})) {}
 
 VarId GATConv::forward(Tape& t, VarId x, const GraphBatch& b) {
-  detail_count_message_pass(b);
+  detail_count_message_pass(b.src_sl.size());
   VarId h = lin_.forward(t, x);  // [N, out]
   VarId score_src = t.matmul(h, t.param(att_src_));  // [N, 1]
   VarId score_dst = t.matmul(h, t.param(att_dst_));  // [N, 1]
@@ -82,16 +82,16 @@ VarId GATConv::forward(Tape& t, VarId x, const GraphBatch& b) {
 }
 
 const Tensor& GATConv::forward_infer(InferenceSession& s, const Tensor& x,
-                                     const GraphBatch& b) {
-  detail_count_message_pass(b);
+                                     const ConvRows& r) {
+  detail_count_message_pass(r.src_sl.size());
   const Tensor& h = lin_.forward_infer(s, x);
   const Tensor& score_src = s.matmul(h, att_src_.value);
   const Tensor& score_dst = s.matmul(h, att_dst_.value);
   const Tensor& e_act =
-      s.edge_pair_scores(score_src, score_dst, b.src_sl, b.dst_sl, 0.2f);
-  const Tensor& alpha = s.segment_softmax(e_act, b.dst_sl, b.num_nodes);
-  const Tensor& agg = s.weighted_scatter_add(alpha.data(), h, nullptr,
-                                             b.src_sl, b.dst_sl, b.num_nodes);
+      s.edge_pair_scores(score_src, score_dst, r.src_sl, r.qrow_sl, 0.2f);
+  const Tensor& alpha = s.segment_softmax(e_act, r.dst_sl, r.num_rows);
+  const Tensor& agg = s.weighted_scatter_add(alpha.data(), h, nullptr, r.src_sl,
+                                             r.dst_sl, nullptr, r.num_rows);
   return s.add_rowvec(agg, bias_.value);
 }
 
@@ -121,7 +121,7 @@ TransformerConv::TransformerConv(std::int64_t in, std::int64_t out,
       gated_residual_(gated_residual) {}
 
 VarId TransformerConv::forward(Tape& t, VarId x, const GraphBatch& b) {
-  detail_count_message_pass(b);
+  detail_count_message_pass(b.src_sl.size());
   VarId q = wq_.forward(t, x);
   VarId k = wk_.forward(t, x);
   VarId v = wv_.forward(t, x);
@@ -147,12 +147,12 @@ VarId TransformerConv::forward(Tape& t, VarId x, const GraphBatch& b) {
 }
 
 const TransformerConv::EdgeProjection& TransformerConv::edge_projection(
-    const GraphBatch& b) {
+    const ConvRows& r) {
   static obs::Counter& c_rebuilds = obs::counter("gnn.edge_proj_rebuilds");
   const std::uint64_t pv = tensor::params_version();
-  if (b.batch_id != 0) {
+  if (r.edges_id != 0) {
     for (std::size_t i = 0; i < eproj_.size(); ++i) {
-      if (eproj_[i].batch_id == b.batch_id &&
+      if (eproj_[i].edges_id == r.edges_id &&
           eproj_[i].params_version == pv) {
         if (i != 0)  // move-to-front so the LRU victim stays at the back
           std::rotate(eproj_.begin(), eproj_.begin() + static_cast<long>(i),
@@ -164,12 +164,12 @@ const TransformerConv::EdgeProjection& TransformerConv::edge_projection(
   // Miss: recycle the least-recently-used slot into the front.
   std::rotate(eproj_.begin(), eproj_.end() - 1, eproj_.end());
   EdgeProjection& slot = eproj_.front();
-  // Same computation as Linear::forward_infer on b.e (no bias): zeroed
-  // output + matmul_acc, so the cached tensors are bit-identical to the
-  // per-forward session results they replace.
-  slot.ek = tensor::matmul(b.e, we_k_.weight().value);
-  slot.ev = tensor::matmul(b.e, we_v_.weight().value);
-  slot.batch_id = b.batch_id;
+  // Same computation as Linear::forward_infer on the edge table (no
+  // bias): zeroed output + matmul_acc, so the cached tensors are
+  // bit-identical to the per-forward session results they replace.
+  slot.ek = tensor::matmul(*r.edges, we_k_.weight().value);
+  slot.ev = tensor::matmul(*r.edges, we_v_.weight().value);
+  slot.edges_id = r.edges_id;
   slot.params_version = pv;
   obs::add(c_rebuilds);
   return slot;
@@ -177,28 +177,28 @@ const TransformerConv::EdgeProjection& TransformerConv::edge_projection(
 
 const Tensor& TransformerConv::forward_infer(InferenceSession& s,
                                              const Tensor& x,
-                                             const GraphBatch& b) {
-  detail_count_message_pass(b);
+                                             const ConvRows& r) {
+  detail_count_message_pass(r.src_sl.size());
   const Tensor& q = wq_.forward_infer(s, x);
   const Tensor& k = wk_.forward_infer(s, x);
   const Tensor& v = wv_.forward_infer(s, x);
-  const EdgeProjection& ep = edge_projection(b);  // ek/ev, cached per batch
+  const EdgeProjection& ep = edge_projection(r);  // ek/ev, cached per batch
 
   // Fused attention: no materialized q_edge/k_edge/v_edge/msg buffers; the
   // per-element products and accumulation orders match the tape chain.
   const Tensor& score =
-      s.edge_attention_scores(q, k, ep.ek, b.src, b.dst,
+      s.edge_attention_scores(q, k, ep.ek, r.src, r.qrow, r.eid,
                               1.0f / std::sqrt(static_cast<float>(out_dim_)));
-  const Tensor& alpha = s.segment_softmax(score, b.dst, b.num_nodes);
-  const Tensor& m = s.weighted_scatter_add(alpha.data(), v, &ep.ev, b.src,
-                                           b.dst, b.num_nodes);  // [N, D]
+  const Tensor& alpha = s.segment_softmax(score, r.dst, r.num_rows);
+  const Tensor& m = s.weighted_scatter_add(alpha.data(), v, &ep.ev, r.src,
+                                           r.dst, r.eid, r.num_rows);
 
-  const Tensor& r = skip_.forward_infer(s, x);
-  if (!gated_residual_) return s.add(r, m);  // ablation: plain skip
+  const Tensor& skip = skip_.forward_infer(s, x);
+  if (!gated_residual_) return s.add(skip, m, r.rrow);  // ablation: plain skip
   // (r - m) feeds both the gate input and the residual mix; residual_concat
   // materializes it once inside the gate input and gated_mix reads it back,
   // yielding the same bits as the tape's sub + concat + mul_colbcast + add.
-  const Tensor& cat = s.residual_concat(r, m);
+  const Tensor& cat = s.residual_concat(skip, m, r.rrow);
   const Tensor& beta = s.sigmoid(gate_.forward_infer(s, cat));
   // h' = beta * r + (1 - beta) * m  ==  m + beta * (r - m)
   return s.gated_mix(m, beta, cat);

@@ -17,10 +17,14 @@ class ConvLayer : public Module {
   /// self-loop lists and edge features.
   virtual tensor::VarId forward(tensor::Tape& t, tensor::VarId x,
                                 const GraphBatch& b) = 0;
-  /// Tape-free forward, bit-identical to forward() (inference fast path).
+  /// Tape-free forward over the rows `r` selects (inference fast path):
+  /// x holds the input rows r's indices refer to, and the result has
+  /// r.num_rows rows. With b.conv_rows() it is bit-identical to forward();
+  /// with a row plan's layer, every row it computes is bit-identical to
+  /// that node's row of the full forward.
   virtual const tensor::Tensor& forward_infer(InferenceSession& s,
                                               const tensor::Tensor& x,
-                                              const GraphBatch& b) = 0;
+                                              const ConvRows& r) = 0;
 };
 
 /// Graph Convolutional Network layer (Kipf & Welling):
@@ -32,7 +36,7 @@ class GCNConv : public ConvLayer {
                         const GraphBatch& b) override;
   const tensor::Tensor& forward_infer(InferenceSession& s,
                                       const tensor::Tensor& x,
-                                      const GraphBatch& b) override;
+                                      const ConvRows& r) override;
   std::vector<tensor::Parameter*> params() override;
 
  private:
@@ -49,7 +53,7 @@ class GATConv : public ConvLayer {
                         const GraphBatch& b) override;
   const tensor::Tensor& forward_infer(InferenceSession& s,
                                       const tensor::Tensor& x,
-                                      const GraphBatch& b) override;
+                                      const ConvRows& r) override;
   std::vector<tensor::Parameter*> params() override;
 
  private:
@@ -76,15 +80,16 @@ class TransformerConv : public ConvLayer {
                         const GraphBatch& b) override;
   const tensor::Tensor& forward_infer(InferenceSession& s,
                                       const tensor::Tensor& x,
-                                      const GraphBatch& b) override;
+                                      const ConvRows& r) override;
   std::vector<tensor::Parameter*> params() override;
 
  private:
   /// Edge-feature projections W3 e and W5 e depend only on the batch's
   /// immutable edge features and the layer weights, so the fast path
-  /// computes them once per (batch_id, params_version) instead of every
+  /// computes them once per (edges_id, params_version) instead of every
   /// forward — the DSE skeleton cache reuses one batch across a whole
   /// sweep, turning two [E, D] matmuls per chunk into once-per-sweep work.
+  /// A row plan's edge table is the template's E edges, not B·E.
   /// A small move-to-front LRU (kEdgeProjSlots, sized to match
   /// SampleFactory's skeleton list) instead of a single entry: heuristic
   /// sweeps alternate full and partial chunk sizes, each a skeleton with
@@ -92,12 +97,12 @@ class TransformerConv : public ConvLayer {
   /// Invalidation is automatic: make_batch mints fresh batch ids and
   /// Adam::step()/load_params() bump tensor::params_version().
   struct EdgeProjection {
-    std::uint64_t batch_id = 0;
+    std::uint64_t edges_id = 0;
     std::uint64_t params_version = 0;
     tensor::Tensor ek, ev;  // [E, out]
   };
   static constexpr std::size_t kEdgeProjSlots = 4;
-  const EdgeProjection& edge_projection(const GraphBatch& b);
+  const EdgeProjection& edge_projection(const ConvRows& r);
 
   Linear wq_, wk_, wv_, we_k_, we_v_, skip_, gate_;
   std::int64_t out_dim_;

@@ -24,12 +24,6 @@ std::int64_t row_grain(std::int64_t cols) {
   return std::max<std::int64_t>(1, kElemGrain / std::max<std::int64_t>(1, cols));
 }
 
-void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
-  if (!a.same_shape(b))
-    throw std::invalid_argument(std::string(op) + ": shape mismatch " +
-                                a.shape_str() + " vs " + b.shape_str());
-}
-
 }  // namespace
 
 Tensor& InferenceSession::next(std::vector<std::int64_t> shape, bool zero) {
@@ -70,17 +64,23 @@ const Tensor& InferenceSession::linear(const Tensor& a, const Tensor& w,
   return out;
 }
 
-const Tensor& InferenceSession::add(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "add");
-  Tensor& out = next(a.shape(), /*zero=*/false);
+const Tensor& InferenceSession::add(const Tensor& a, const Tensor& b,
+                                    const std::int32_t* arow) {
+  if (arow ? a.cols() != b.cols() : !a.same_shape(b))
+    throw std::invalid_argument("add: shape mismatch " + a.shape_str() +
+                                " vs " + b.shape_str());
+  const std::int64_t c = b.cols();
+  Tensor& out = next(b.shape(), /*zero=*/false);
   const float* ap = a.data();
   const float* bp = b.data();
   float* op = out.data();
-  util::parallel_for(out.numel(), kElemGrain,
-                     [&](std::int64_t begin, std::int64_t end) {
-                       for (std::int64_t i = begin; i < end; ++i)
-                         op[i] = ap[i] + bp[i];
-                     });
+  util::parallel_for(b.rows(), row_grain(c), [&](std::int64_t begin,
+                                                 std::int64_t end) {
+    for (std::int64_t i = begin; i < end; ++i) {
+      const float* arp = ap + (arow ? arow[i] : i) * c;
+      for (std::int64_t j = 0; j < c; ++j) op[i * c + j] = arp[j] + bp[i * c + j];
+    }
+  });
   return out;
 }
 
@@ -120,10 +120,11 @@ const Tensor& InferenceSession::mul_colbcast(const Tensor& col,
 }
 
 const Tensor& InferenceSession::residual_concat(const Tensor& r,
-                                                const Tensor& m) {
-  if (!r.same_shape(m))
+                                                const Tensor& m,
+                                                const std::int32_t* rrow) {
+  if (rrow ? r.cols() != m.cols() : !r.same_shape(m))
     throw std::invalid_argument("residual_concat: r/m shape mismatch");
-  const std::int64_t n = r.rows(), c = r.cols();
+  const std::int64_t n = m.rows(), c = m.cols();
   Tensor& out = next({n, 3 * c}, /*zero=*/false);
   const float* rp = r.data();
   const float* mp = m.data();
@@ -132,7 +133,7 @@ const Tensor& InferenceSession::residual_concat(const Tensor& r,
   const util::SimdLevel lvl = dispatch.level();
   util::parallel_for(
       n, row_grain(3 * c), [&](std::int64_t begin, std::int64_t end) {
-        simd::residual_concat_range(lvl, rp, mp, op, c, begin, end);
+        simd::residual_concat_range(lvl, rp, rrow, mp, op, c, begin, end);
       });
   return out;
 }
@@ -238,7 +239,7 @@ const Tensor& InferenceSession::scatter_add_rows(
 }
 
 const Tensor& InferenceSession::segment_softmax(
-    const Tensor& scores, const std::vector<std::int32_t>& seg,
+    const Tensor& scores, std::span<const std::int32_t> seg,
     std::int64_t num_segments) {
   if (scores.cols() != 1 ||
       static_cast<std::int64_t>(seg.size()) != scores.rows())
@@ -277,26 +278,37 @@ const Tensor& InferenceSession::segment_softmax(
 }
 
 const Tensor& InferenceSession::max_list(
-    const std::vector<const Tensor*>& parts) {
+    const std::vector<const Tensor*>& parts,
+    const std::vector<const std::int32_t*>& rows, std::int64_t num_rows) {
   if (parts.empty()) throw std::invalid_argument("max_list: empty input");
   const Tensor& first = *parts[0];
+  if (!rows.empty() && rows.size() != parts.size())
+    throw std::invalid_argument("max_list: one row map per part");
   for (std::size_t k = 1; k < parts.size(); ++k)
-    if (!parts[k]->same_shape(first))
+    if (rows.empty() ? !parts[k]->same_shape(first)
+                     : parts[k]->cols() != first.cols())
       throw std::invalid_argument("max_list: shape mismatch");
-  Tensor& out = next(first.shape(), /*zero=*/false);
+  const std::int64_t c = first.cols();
+  Tensor& out = rows.empty() ? next(first.shape(), /*zero=*/false)
+                             : next({num_rows, c}, /*zero=*/false);
   float* op = out.data();
   // Per element: copy the first layer, then fold the rest in ascending
   // layer order (same comparison sequence as Tape::max_list).
-  util::parallel_for(first.numel(), kElemGrain,
-                     [&](std::int64_t begin, std::int64_t end) {
-                       std::copy_n(first.data() + begin, end - begin,
-                                   op + begin);
-                       for (std::size_t k = 1; k < parts.size(); ++k) {
-                         const float* vp = parts[k]->data();
-                         for (std::int64_t i = begin; i < end; ++i)
-                           if (vp[i] > op[i]) op[i] = vp[i];
-                       }
-                     });
+  util::parallel_for(out.rows(), row_grain(c), [&](std::int64_t begin,
+                                                   std::int64_t end) {
+    auto row = [&](std::size_t k, std::int64_t i) {
+      return parts[k]->data() + (rows.empty() ? i : rows[k][i]) * c;
+    };
+    for (std::int64_t i = begin; i < end; ++i) {
+      float* orow = op + i * c;
+      std::copy_n(row(0, i), c, orow);
+      for (std::size_t k = 1; k < parts.size(); ++k) {
+        const float* vp = row(k, i);
+        for (std::int64_t j = 0; j < c; ++j)
+          if (vp[j] > orow[j]) orow[j] = vp[j];
+      }
+    }
+  });
   return out;
 }
 
@@ -306,12 +318,13 @@ const Tensor& InferenceSession::max_list(
 
 const Tensor& InferenceSession::edge_attention_scores(
     const Tensor& q, const Tensor& k, const Tensor& ek,
-    const std::vector<std::int32_t>& src, const std::vector<std::int32_t>& dst,
-    float c) {
+    std::span<const std::int32_t> src, std::span<const std::int32_t> qrow,
+    const std::int32_t* eid, float c) {
   const std::int64_t e = static_cast<std::int64_t>(src.size());
   const std::int64_t d = q.cols();
   if (k.cols() != d || ek.cols() != d ||
-      static_cast<std::int64_t>(dst.size()) != e || ek.rows() != e)
+      static_cast<std::int64_t>(qrow.size()) != e ||
+      (!eid && ek.rows() != e))
     throw std::invalid_argument("edge_attention_scores: shape mismatch");
   Tensor& out = next({e, 1}, /*zero=*/false);
   const float* qp = q.data();
@@ -322,15 +335,15 @@ const Tensor& InferenceSession::edge_attention_scores(
   static obs::SimdDispatch dispatch("edge_attention_scores");
   const util::SimdLevel lvl = dispatch.level();
   util::parallel_for(e, row_grain(d), [&](std::int64_t begin, std::int64_t end) {
-    simd::edge_attention_scores_range(lvl, qp, kp, ep, src.data(), dst.data(),
-                                      d, c, op, begin, end);
+    simd::edge_attention_scores_range(lvl, qp, kp, ep, src.data(), qrow.data(),
+                                      eid, d, c, op, begin, end);
   });
   return out;
 }
 
 const Tensor& InferenceSession::edge_pair_scores(
-    const Tensor& a, const Tensor& b, const std::vector<std::int32_t>& src,
-    const std::vector<std::int32_t>& dst, float negative_slope) {
+    const Tensor& a, const Tensor& b, std::span<const std::int32_t> src,
+    std::span<const std::int32_t> dst, float negative_slope) {
   if (a.cols() != 1 || b.cols() != 1)
     throw std::invalid_argument("edge_pair_scores: inputs must be [N,1]");
   const std::int64_t e = static_cast<std::int64_t>(src.size());
@@ -350,11 +363,11 @@ const Tensor& InferenceSession::edge_pair_scores(
 
 const Tensor& InferenceSession::weighted_scatter_add(
     const float* alpha, const Tensor& v, const Tensor* ev,
-    const std::vector<std::int32_t>& src, const std::vector<std::int32_t>& dst,
-    std::int64_t num_rows) {
+    std::span<const std::int32_t> src, std::span<const std::int32_t> dst,
+    const std::int32_t* eid, std::int64_t num_rows) {
   const std::int64_t c = v.cols();
   if (ev && (ev->cols() != c ||
-             ev->rows() != static_cast<std::int64_t>(src.size())))
+             (!eid && ev->rows() != static_cast<std::int64_t>(src.size()))))
     throw std::invalid_argument("weighted_scatter_add: ev shape mismatch");
   Tensor& out = next({num_rows, c}, /*zero=*/true);
   const float* vp = v.data();
@@ -366,7 +379,7 @@ const Tensor& InferenceSession::weighted_scatter_add(
   static obs::SimdDispatch dispatch("weighted_scatter_add");
   const util::SimdLevel lvl = dispatch.level();
   simd::weighted_scatter_add_edges(lvl, alpha, vp, ep, src.data(), dst.data(),
-                                   c, op,
+                                   eid, c, op,
                                    static_cast<std::int64_t>(src.size()));
   return out;
 }

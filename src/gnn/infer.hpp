@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -48,7 +49,9 @@ class InferenceSession {
   const tensor::Tensor& linear(const tensor::Tensor& a,
                                const tensor::Tensor& w,
                                const tensor::Tensor* bias);
-  const tensor::Tensor& add(const tensor::Tensor& a, const tensor::Tensor& b);
+  /// out[i] = a[arow[i]] + b[i] (arow = nullptr: a[i]); out has b's shape.
+  const tensor::Tensor& add(const tensor::Tensor& a, const tensor::Tensor& b,
+                            const std::int32_t* arow = nullptr);
   const tensor::Tensor& add_rowvec(const tensor::Tensor& a,
                                    const tensor::Tensor& bias);
   const tensor::Tensor& mul_colbcast(const tensor::Tensor& col,
@@ -67,10 +70,16 @@ class InferenceSession {
                                          const std::vector<std::int32_t>& idx,
                                          std::int64_t num_rows);
   const tensor::Tensor& segment_softmax(const tensor::Tensor& scores,
-                                        const std::vector<std::int32_t>& seg,
+                                        std::span<const std::int32_t> seg,
                                         std::int64_t num_segments);
+  /// Elementwise max over `parts`, folded in ascending order. With `rows`
+  /// (one map per part), output row i folds parts[k] row rows[k][i] over
+  /// num_rows output rows: the row-plan JKN, which also gathers one plan
+  /// layer back into batch-node order.
   const tensor::Tensor& max_list(
-      const std::vector<const tensor::Tensor*>& parts);
+      const std::vector<const tensor::Tensor*>& parts,
+      const std::vector<const std::int32_t*>& rows = {},
+      std::int64_t num_rows = 0);
 
   // Fused edge-domain kernels. Message passing through the generic ops
   // materializes several [E, D] intermediates per conv layer (gather ->
@@ -82,41 +91,45 @@ class InferenceSession {
 
   /// TransformerConv attention logits, fusing the tape chain
   ///   scale(row_sum(mul(gather(q,dst), add(gather(k,src), ek))), c):
-  ///   out[e] = (sum_d q[dst[e]][d] * (k[src[e]][d] + ek[e][d])) * c
-  /// with the sum accumulated in ascending d like row_sum.
+  ///   out[e] = (sum_d q[qrow[e]][d] * (k[src[e]][d] + ek[eid[e]][d])) * c
+  /// with the sum accumulated in ascending d like row_sum. qrow is the
+  /// destination's input row; eid = nullptr reads ek row e.
   const tensor::Tensor& edge_attention_scores(
       const tensor::Tensor& q, const tensor::Tensor& k,
-      const tensor::Tensor& ek, const std::vector<std::int32_t>& src,
-      const std::vector<std::int32_t>& dst, float c);
+      const tensor::Tensor& ek, std::span<const std::int32_t> src,
+      std::span<const std::int32_t> qrow, const std::int32_t* eid, float c);
 
   /// GAT pairwise logits, fusing
   ///   leaky_relu(add(gather(a,src), gather(b,dst))):
   ///   out[e] = lrelu(a[src[e]][0] + b[dst[e]][0])   (a, b are [N,1])
   const tensor::Tensor& edge_pair_scores(const tensor::Tensor& a,
                                          const tensor::Tensor& b,
-                                         const std::vector<std::int32_t>& src,
-                                         const std::vector<std::int32_t>& dst,
+                                         std::span<const std::int32_t> src,
+                                         std::span<const std::int32_t> dst,
                                          float negative_slope);
 
   /// Weighted message aggregation, fusing
   ///   scatter_add_rows(mul_colbcast(alpha, add(gather(v,src), ev)), dst):
-  ///   out[dst[e]][:] += alpha[e] * (v[src[e]][:] + ev[e][:])
+  ///   out[dst[e]][:] += alpha[e] * (v[src[e]][:] + ev[eid[e]][:])
   /// in ascending e (the scatter's accumulation-order contract). `alpha`
   /// points at E coefficients (a [E,1] tensor's data or gcn_coeff); pass
-  /// ev = nullptr to drop the edge term (GCN/GAT messages).
+  /// ev = nullptr to drop the edge term (GCN/GAT messages); eid = nullptr
+  /// reads ev row e.
   const tensor::Tensor& weighted_scatter_add(
       const float* alpha, const tensor::Tensor& v, const tensor::Tensor* ev,
-      const std::vector<std::int32_t>& src,
-      const std::vector<std::int32_t>& dst, std::int64_t num_rows);
+      std::span<const std::int32_t> src, std::span<const std::int32_t> dst,
+      const std::int32_t* eid, std::int64_t num_rows);
 
   /// Gate-input assembly for the gated residual, fusing
   ///   concat_cols({r, m, sub(r, m)}):
-  ///   out[i][:] = [ r[i][:] | m[i][:] | r[i][:] - m[i][:] ]
-  /// One pass over r and m instead of a sub pass plus a concat pass; the
+  ///   out[i][:] = [ r[ri][:] | m[i][:] | r[ri][:] - m[i][:] ]
+  /// with ri = rrow[i] (rrow = nullptr: ri = i), over m's rows. One pass
+  /// over r and m instead of a sub pass plus a concat pass; the
   /// difference block holds the same bits as the tape's materialized
   /// sub(r, m), and gated_mix reads it back in place.
   const tensor::Tensor& residual_concat(const tensor::Tensor& r,
-                                        const tensor::Tensor& m);
+                                        const tensor::Tensor& m,
+                                        const std::int32_t* rrow = nullptr);
 
   /// Gated residual mix, fusing add(m, mul_colbcast(beta, d)) where d is
   /// the difference block of a residual_concat result (its last c columns):

@@ -21,13 +21,14 @@ namespace {
 // these define the reference bits and handle every remainder.
 // ---------------------------------------------------------------------------
 
-void residual_concat_scalar(const float* rp, const float* mp, float* op,
-                            std::int64_t c, std::int64_t begin,
-                            std::int64_t end) {
+void residual_concat_scalar(const float* rp, const std::int32_t* rrow,
+                            const float* mp, float* op, std::int64_t c,
+                            std::int64_t begin, std::int64_t end) {
   for (std::int64_t i = begin; i < end; ++i) {
+    const float* rr = rp + (rrow ? rrow[i] : i) * c;
     float* orow = op + i * 3 * c;
     for (std::int64_t j = 0; j < c; ++j) {
-      const float rv = rp[i * c + j], mv = mp[i * c + j];
+      const float rv = rr[j], mv = mp[i * c + j];
       orow[j] = rv;
       orow[c + j] = mv;
       orow[2 * c + j] = rv - mv;
@@ -47,15 +48,14 @@ void gated_mix_scalar(const float* mp, const float* bp, const float* dp,
 
 void edge_attention_scores_scalar(const float* qp, const float* kp,
                                   const float* ep, const std::int32_t* src,
-                                  const std::int32_t* dst, std::int64_t d,
+                                  const std::int32_t* qidx,
+                                  const std::int32_t* eid, std::int64_t d,
                                   float scale, float* op, std::int64_t begin,
                                   std::int64_t end) {
   for (std::int64_t i = begin; i < end; ++i) {
-    const float* qrow =
-        qp + static_cast<std::int64_t>(dst[static_cast<std::size_t>(i)]) * d;
-    const float* krow =
-        kp + static_cast<std::int64_t>(src[static_cast<std::size_t>(i)]) * d;
-    const float* erow = ep + i * d;
+    const float* qrow = qp + static_cast<std::int64_t>(qidx[i]) * d;
+    const float* krow = kp + static_cast<std::int64_t>(src[i]) * d;
+    const float* erow = ep + (eid ? eid[i] : i) * d;
     float acc = 0.0f;
     for (std::int64_t j = 0; j < d; ++j) acc += qrow[j] * (krow[j] + erow[j]);
     op[i] = acc * scale;
@@ -75,14 +75,15 @@ void edge_pair_scores_scalar(const float* ap, const float* bp,
 
 void weighted_scatter_add_scalar(const float* alpha, const float* vp,
                                  const float* ep, const std::int32_t* src,
-                                 const std::int32_t* dst, std::int64_t c,
+                                 const std::int32_t* dst,
+                                 const std::int32_t* eid, std::int64_t c,
                                  float* op, std::int64_t num_edges) {
   for (std::int64_t i = 0; i < num_edges; ++i) {
     const float s = alpha[i];
     const float* vrow = vp + static_cast<std::int64_t>(src[i]) * c;
     float* drow = op + static_cast<std::int64_t>(dst[i]) * c;
     if (ep) {
-      const float* erow = ep + i * c;
+      const float* erow = ep + (eid ? eid[i] : i) * c;
       for (std::int64_t j = 0; j < c; ++j) drow[j] += s * (vrow[j] + erow[j]);
     } else {
       for (std::int64_t j = 0; j < c; ++j) drow[j] += s * vrow[j];
@@ -107,10 +108,10 @@ void segment_softmax_normalize_scalar(const float* seg_sum,
 // ---------------------------------------------------------------------------
 
 __attribute__((target("avx2"))) void residual_concat_avx2(
-    const float* rp, const float* mp, float* op, std::int64_t c,
-    std::int64_t begin, std::int64_t end) {
+    const float* rp, const std::int32_t* ridx, const float* mp, float* op,
+    std::int64_t c, std::int64_t begin, std::int64_t end) {
   for (std::int64_t i = begin; i < end; ++i) {
-    const float* rrow = rp + i * c;
+    const float* rrow = rp + (ridx ? ridx[i] : i) * c;
     const float* mrow = mp + i * c;
     float* orow = op + i * 3 * c;
     std::int64_t j = 0;
@@ -159,17 +160,17 @@ __attribute__((target("avx2"))) void gated_mix_avx2(
 // the spilled acc; the edge remainder falls through to the scalar body.
 __attribute__((target("avx2"))) void edge_attention_scores_avx2(
     const float* qp, const float* kp, const float* ep, const std::int32_t* src,
-    const std::int32_t* dst, std::int64_t d, float scale, float* op,
-    std::int64_t begin, std::int64_t end) {
+    const std::int32_t* qidx, const std::int32_t* eid, std::int64_t d,
+    float scale, float* op, std::int64_t begin, std::int64_t end) {
   std::int64_t i = begin;
   for (; i + 8 <= end; i += 8) {
     const float* qrow[8];
     const float* krow[8];
     const float* erow[8];
     for (int e = 0; e < 8; ++e) {
-      qrow[e] = qp + static_cast<std::int64_t>(dst[i + e]) * d;
+      qrow[e] = qp + static_cast<std::int64_t>(qidx[i + e]) * d;
       krow[e] = kp + static_cast<std::int64_t>(src[i + e]) * d;
-      erow[e] = ep + (i + e) * d;
+      erow[e] = ep + (eid ? eid[i + e] : i + e) * d;
     }
     __m256 acc = _mm256_setzero_ps();
     std::int64_t j = 0;
@@ -198,7 +199,8 @@ __attribute__((target("avx2"))) void edge_attention_scores_avx2(
       _mm256_storeu_ps(op + i, _mm256_mul_ps(acc, _mm256_set1_ps(scale)));
     }
   }
-  edge_attention_scores_scalar(qp, kp, ep, src, dst, d, scale, op, i, end);
+  edge_attention_scores_scalar(qp, kp, ep, src, qidx, eid, d, scale, op, i,
+                               end);
 }
 
 __attribute__((target("avx2"))) void edge_pair_scores_avx2(
@@ -225,8 +227,8 @@ __attribute__((target("avx2"))) void edge_pair_scores_avx2(
 
 __attribute__((target("avx2"))) void weighted_scatter_add_avx2(
     const float* alpha, const float* vp, const float* ep,
-    const std::int32_t* src, const std::int32_t* dst, std::int64_t c,
-    float* op, std::int64_t num_edges) {
+    const std::int32_t* src, const std::int32_t* dst, const std::int32_t* eid,
+    std::int64_t c, float* op, std::int64_t num_edges) {
   // Serial over edges (colliding destinations accumulate in edge order);
   // vector over the disjoint column writes of one edge.
   for (std::int64_t i = 0; i < num_edges; ++i) {
@@ -236,7 +238,7 @@ __attribute__((target("avx2"))) void weighted_scatter_add_avx2(
     float* drow = op + static_cast<std::int64_t>(dst[i]) * c;
     std::int64_t j = 0;
     if (ep) {
-      const float* erow = ep + i * c;
+      const float* erow = ep + (eid ? eid[i] : i) * c;
       for (; j + 8 <= c; j += 8) {
         const __m256 t = _mm256_mul_ps(
             sv, _mm256_add_ps(_mm256_loadu_ps(vrow + j),
@@ -277,8 +279,8 @@ __attribute__((target("avx2"))) void segment_softmax_normalize_avx2(
 
 __attribute__((target("avx512f"))) void weighted_scatter_add_avx512(
     const float* alpha, const float* vp, const float* ep,
-    const std::int32_t* src, const std::int32_t* dst, std::int64_t c,
-    float* op, std::int64_t num_edges) {
+    const std::int32_t* src, const std::int32_t* dst, const std::int32_t* eid,
+    std::int64_t c, float* op, std::int64_t num_edges) {
   for (std::int64_t i = 0; i < num_edges; ++i) {
     const float s = alpha[i];
     const __m512 sv = _mm512_set1_ps(s);
@@ -286,7 +288,7 @@ __attribute__((target("avx512f"))) void weighted_scatter_add_avx512(
     float* drow = op + static_cast<std::int64_t>(dst[i]) * c;
     std::int64_t j = 0;
     if (ep) {
-      const float* erow = ep + i * c;
+      const float* erow = ep + (eid ? eid[i] : i) * c;
       for (; j + 16 <= c; j += 16) {
         const __m512 t = _mm512_mul_ps(
             sv, _mm512_add_ps(_mm512_loadu_ps(vrow + j),
@@ -324,10 +326,10 @@ __attribute__((target("avx512f"))) void gated_mix_avx512(
 }
 
 __attribute__((target("avx512f"))) void residual_concat_avx512(
-    const float* rp, const float* mp, float* op, std::int64_t c,
-    std::int64_t begin, std::int64_t end) {
+    const float* rp, const std::int32_t* ridx, const float* mp, float* op,
+    std::int64_t c, std::int64_t begin, std::int64_t end) {
   for (std::int64_t i = begin; i < end; ++i) {
-    const float* rrow = rp + i * c;
+    const float* rrow = rp + (ridx ? ridx[i] : i) * c;
     const float* mrow = mp + i * c;
     float* orow = op + i * 3 * c;
     std::int64_t j = 0;
@@ -355,18 +357,19 @@ __attribute__((target("avx512f"))) void residual_concat_avx512(
 // Dispatch. On non-x86 every level maps to scalar.
 // ---------------------------------------------------------------------------
 
-void residual_concat_range(SimdLevel level, const float* rp, const float* mp,
+void residual_concat_range(SimdLevel level, const float* rp,
+                           const std::int32_t* rrow, const float* mp,
                            float* op, std::int64_t c, std::int64_t begin,
                            std::int64_t end) {
 #ifdef GNNDSE_X86
   if (level == SimdLevel::kAvx512)
-    return residual_concat_avx512(rp, mp, op, c, begin, end);
+    return residual_concat_avx512(rp, rrow, mp, op, c, begin, end);
   if (level == SimdLevel::kAvx2)
-    return residual_concat_avx2(rp, mp, op, c, begin, end);
+    return residual_concat_avx2(rp, rrow, mp, op, c, begin, end);
 #else
   (void)level;
 #endif
-  residual_concat_scalar(rp, mp, op, c, begin, end);
+  residual_concat_scalar(rp, rrow, mp, op, c, begin, end);
 }
 
 void gated_mix_range(SimdLevel level, const float* mp, const float* bp,
@@ -386,19 +389,21 @@ void gated_mix_range(SimdLevel level, const float* mp, const float* bp,
 void edge_attention_scores_range(SimdLevel level, const float* qp,
                                  const float* kp, const float* ep,
                                  const std::int32_t* src,
-                                 const std::int32_t* dst, std::int64_t d,
+                                 const std::int32_t* qrow,
+                                 const std::int32_t* eid, std::int64_t d,
                                  float scale, float* op, std::int64_t begin,
                                  std::int64_t end) {
 #ifdef GNNDSE_X86
   // The avx512 level reuses the AVX2 body: a 16-lane gather body measured
   // slower than scalar (docs/performance.md), this one faster.
   if (level != SimdLevel::kScalar)
-    return edge_attention_scores_avx2(qp, kp, ep, src, dst, d, scale, op,
-                                      begin, end);
+    return edge_attention_scores_avx2(qp, kp, ep, src, qrow, eid, d, scale,
+                                      op, begin, end);
 #else
   (void)level;
 #endif
-  edge_attention_scores_scalar(qp, kp, ep, src, dst, d, scale, op, begin, end);
+  edge_attention_scores_scalar(qp, kp, ep, src, qrow, eid, d, scale, op, begin,
+                               end);
 }
 
 void edge_pair_scores_range(SimdLevel level, const float* ap, const float* bp,
@@ -420,19 +425,20 @@ void edge_pair_scores_range(SimdLevel level, const float* ap, const float* bp,
 void weighted_scatter_add_edges(SimdLevel level, const float* alpha,
                                 const float* vp, const float* ep,
                                 const std::int32_t* src,
-                                const std::int32_t* dst, std::int64_t c,
+                                const std::int32_t* dst,
+                                const std::int32_t* eid, std::int64_t c,
                                 float* op, std::int64_t num_edges) {
 #ifdef GNNDSE_X86
   if (level == SimdLevel::kAvx512)
-    return weighted_scatter_add_avx512(alpha, vp, ep, src, dst, c, op,
+    return weighted_scatter_add_avx512(alpha, vp, ep, src, dst, eid, c, op,
                                        num_edges);
   if (level == SimdLevel::kAvx2)
-    return weighted_scatter_add_avx2(alpha, vp, ep, src, dst, c, op,
+    return weighted_scatter_add_avx2(alpha, vp, ep, src, dst, eid, c, op,
                                      num_edges);
 #else
   (void)level;
 #endif
-  weighted_scatter_add_scalar(alpha, vp, ep, src, dst, c, op, num_edges);
+  weighted_scatter_add_scalar(alpha, vp, ep, src, dst, eid, c, op, num_edges);
 }
 
 void segment_softmax_normalize(SimdLevel level, const float* seg_sum,

@@ -37,8 +37,10 @@ namespace gnndse::gnn::simd {
 
 using util::SimdLevel;
 
-/// orow = [ r | m | r - m ] for rows [begin, end); op row stride is 3c.
-void residual_concat_range(SimdLevel level, const float* rp, const float* mp,
+/// orow = [ r | m | r - m ] for rows [begin, end), where row i reads r row
+/// rrow[i] (rrow = nullptr: row i); op row stride is 3c.
+void residual_concat_range(SimdLevel level, const float* rp,
+                           const std::int32_t* rrow, const float* mp,
                            float* op, std::int64_t c, std::int64_t begin,
                            std::int64_t end);
 
@@ -48,12 +50,14 @@ void gated_mix_range(SimdLevel level, const float* mp, const float* bp,
                      const float* dp, float* op, std::int64_t c,
                      std::int64_t begin, std::int64_t end);
 
-/// op[e] = (sum_j qp[dst[e]*d + j] * (kp[src[e]*d + j] + ep[e*d + j])) * scale
-/// for edges [begin, end), ascending j.
+/// op[e] = (sum_j qp[qrow[e]*d + j] * (kp[src[e]*d + j] + ep[x*d + j])) *
+/// scale for edges [begin, end), ascending j, where x = eid[e] (eid =
+/// nullptr: x = e).
 void edge_attention_scores_range(SimdLevel level, const float* qp,
                                  const float* kp, const float* ep,
                                  const std::int32_t* src,
-                                 const std::int32_t* dst, std::int64_t d,
+                                 const std::int32_t* qrow,
+                                 const std::int32_t* eid, std::int64_t d,
                                  float scale, float* op, std::int64_t begin,
                                  std::int64_t end);
 
@@ -63,14 +67,16 @@ void edge_pair_scores_range(SimdLevel level, const float* ap, const float* bp,
                             float negative_slope, float* op,
                             std::int64_t begin, std::int64_t end);
 
-/// op[dst[e]*c + j] += alpha[e] * (vp[src[e]*c + j] (+ ep[e*c + j]))
+/// op[dst[e]*c + j] += alpha[e] * (vp[src[e]*c + j] (+ ep[x*c + j]))
 /// serially in ascending e over ALL edges [0, num_edges) — colliding
 /// destinations accumulate in edge order, which defines the result bits.
-/// Pass ep = nullptr to drop the edge term.
+/// Pass ep = nullptr to drop the edge term; x = eid[e] (eid = nullptr:
+/// x = e).
 void weighted_scatter_add_edges(SimdLevel level, const float* alpha,
                                 const float* vp, const float* ep,
                                 const std::int32_t* src,
-                                const std::int32_t* dst, std::int64_t c,
+                                const std::int32_t* dst,
+                                const std::int32_t* eid, std::int64_t c,
                                 float* op, std::int64_t num_edges);
 
 /// op[i] = seg_sum[seg[i]] > 0 ? op[i] / seg_sum[seg[i]] : 0 for

@@ -19,11 +19,6 @@ VarId jumping_knowledge_max(Tape& t, const std::vector<VarId>& layers) {
   return t.max_list(layers);
 }
 
-const tensor::Tensor& jumping_knowledge_max_infer(
-    InferenceSession& s, const std::vector<const tensor::Tensor*>& layers) {
-  return s.max_list(layers);
-}
-
 AttentionPool::AttentionPool(std::int64_t dim, util::Rng& rng)
     : gate_({dim, dim / 2, 1}, rng),
       transform_({dim, dim}, rng) {}

@@ -14,11 +14,9 @@ const tensor::Tensor& sum_pool_infer(InferenceSession& s,
                                      const GraphBatch& b);
 
 /// Jumping Knowledge Network, max combine (eq. 9): elementwise max over the
-/// per-layer node embeddings.
+/// per-layer node embeddings (InferenceSession::max_list on the fast path).
 tensor::VarId jumping_knowledge_max(tensor::Tape& t,
                                     const std::vector<tensor::VarId>& layers);
-const tensor::Tensor& jumping_knowledge_max_infer(
-    InferenceSession& s, const std::vector<const tensor::Tensor*>& layers);
 
 /// Node-attention pooling (eq. 10):
 ///   h_G = sum_i softmax_i(MLP1(h_i)) * MLP2(h_i)

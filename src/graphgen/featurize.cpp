@@ -21,6 +21,7 @@ constexpr std::int64_t kNumericOff = 57;   // 1
 constexpr std::int64_t kPipeOff = 58;      // 3
 constexpr std::int64_t kParOff = 61;       // 1
 constexpr std::int64_t kTileOff = 62;      // 1
+static_assert(kPipeOff == kPragmaSlotBegin && kTileOff + 1 == kPragmaSlotEnd);
 
 float log2f_safe(double v) {
   return v <= 1.0 ? 0.0f : static_cast<float>(std::log2(v));

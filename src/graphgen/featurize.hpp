@@ -28,6 +28,10 @@ namespace gnndse::graphgen {
 
 inline constexpr std::int64_t kNodeFeatureDim = 124;
 inline constexpr std::int64_t kEdgeFeatureDim = 12;
+/// The pragma slots [58..62]: the only columns write_pragma_features
+/// writes.
+inline constexpr std::int64_t kPragmaSlotBegin = 58;
+inline constexpr std::int64_t kPragmaSlotEnd = 63;
 
 /// Node features for one design point. Only pragma-node rows vary across
 /// configurations of the same kernel.

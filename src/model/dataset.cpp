@@ -177,8 +177,12 @@ const gnn::GraphBatch& SampleFactory::batch_for(
     proto.aux = tensor::Tensor({static_cast<std::int64_t>(kMaxPragmaSites) *
                                 graphgen::kPragmaVectorPerSite});
     std::vector<const gnn::GraphData*> protos(configs.size(), &proto);
-    skeletons_.push_front(Skeleton{kernel.name, kc->digest, configs.size(),
-                                   gnn::make_batch(protos)});
+    gnn::GraphBatch batch = gnn::make_batch(protos);
+    // Only pragma-node rows differ between configs: the row plan lets the
+    // fast path compute every other row once per chunk.
+    batch.plan = gnn::plan_rows(batch, kc->graph.pragma_nodes);
+    skeletons_.push_front(
+        Skeleton{kernel.name, kc->digest, configs.size(), std::move(batch)});
     if (skeletons_.size() > kMaxSkeletons) skeletons_.pop_back();
   }
 
@@ -196,6 +200,9 @@ const gnn::GraphBatch& SampleFactory::batch_for(
         *kc->space, configs[i], kMaxPragmaSites,
         b.aux.data() + static_cast<std::int64_t>(i) * fa);
   }
+  // The plan's per-config rows differ from the skeleton's only in the
+  // pragma slots.
+  b.plan->refresh(b.x, graphgen::kPragmaSlotBegin, graphgen::kPragmaSlotEnd);
   return b;
 }
 

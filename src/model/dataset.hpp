@@ -58,9 +58,9 @@ struct Sample {
 ///    `gnn.template_evictions`, with the resident estimate in the
 ///    `gnn.template_bytes` gauge.
 ///  * batch skeleton — the assembled GraphBatch for B copies of the
-///    template graph, kept per (kernel, digest, B) in a small MRU list
-///    since topology (src_sl/dst_sl/gcn_coeff/node_graph/node_offset) is
-///    identical across configurations. batch_for() reduces per-config
+///    template graph and its row plan, kept per (kernel, digest, B) in a
+///    small MRU list since topology (src_sl/dst_sl/gcn_coeff/node_graph/
+///    node_offset) is identical across configurations. batch_for() reduces per-config
 ///    featurization to rewriting pragma feature slots inside a cached
 ///    skeleton. Telemetry: `gnn.batch_skeleton_hits` /
 ///    `gnn.batch_skeleton_misses`.
@@ -89,9 +89,11 @@ class SampleFactory {
   /// three model heads, with the topology skeleton cached per (kernel,
   /// digest, configs.size()) and only the pragma-dependent feature slots
   /// rewritten per call. Bit-identical to featurizing each config and
-  /// calling gnn::make_batch. Single-consumer: the returned reference is
-  /// valid (and must not be used concurrently) until the next batch_for()
-  /// call on the same factory.
+  /// calling gnn::make_batch, plus a row plan (gnn::plan_rows over the
+  /// pragma nodes, built with the skeleton) that lets the fast path
+  /// compute each config-independent row once per chunk. Single-consumer:
+  /// the returned reference is valid (and must not be used concurrently)
+  /// until the next batch_for() call on the same factory.
   const gnn::GraphBatch& batch_for(const kir::Kernel& kernel,
                                    std::span<const hlssim::DesignConfig> configs);
 

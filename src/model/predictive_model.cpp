@@ -136,21 +136,38 @@ const tensor::Tensor& PredictiveModel::forward_infer(
 
   // Phase spans split a fast-path forward into its trace-visible stages:
   // message passing (+ JKN), graph pooling, and the prediction head.
-  const tensor::Tensor* hcur = &b.x;
+  // With a row plan each conv computes only its plan layer's rows, and
+  // JKN (or a plain gather) maps the last layers back to batch nodes.
+  static obs::Gauge& g_share = obs::gauge("gnn.delta_row_share");
+  const gnn::RowPlan* plan =
+      b.plan && b.plan->covers(convs_.size()) ? b.plan.get() : nullptr;
+  const bool jkn = opts_.kind == ModelKind::kM6TconvJkn ||
+                   opts_.kind == ModelKind::kM7Full;
+  const tensor::Tensor* hcur = plan ? &plan->x : &b.x;
   std::vector<const tensor::Tensor*> layer_outputs;
+  std::vector<const std::int32_t*> node_rows;
   layer_outputs.reserve(convs_.size());
+  std::int64_t rows = 0;
   const tensor::Tensor* node_repr;
   {
     obs::ScopedSpan span("gnn.fastpath.convs");
-    for (auto& conv : convs_) {
-      hcur = &s.elu(conv->forward_infer(s, *hcur, b));
+    for (std::size_t l = 0; l < convs_.size(); ++l) {
+      const gnn::ConvRows r = plan ? plan->conv_rows(l) : b.conv_rows();
+      hcur = &s.elu(convs_[l]->forward_infer(s, *hcur, r));
       layer_outputs.push_back(hcur);
+      if (plan) node_rows.push_back(plan->layer(l).node_row.data());
+      rows += r.num_rows;
     }
     node_repr = hcur;
-    if (opts_.kind == ModelKind::kM6TconvJkn ||
-        opts_.kind == ModelKind::kM7Full)
-      node_repr = &gnn::jumping_knowledge_max_infer(s, layer_outputs);
+    if (jkn)
+      node_repr = &s.max_list(layer_outputs, node_rows, b.num_nodes);
+    else if (plan)
+      node_repr = &s.max_list({hcur}, {node_rows.back()}, b.num_nodes);
   }
+  if (plan)
+    obs::set(g_share, static_cast<double>(rows) /
+                          static_cast<double>(b.num_nodes) /
+                          static_cast<double>(convs_.size()));
 
   const tensor::Tensor* graph_repr;
   {

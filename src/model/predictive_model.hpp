@@ -57,9 +57,12 @@ class PredictiveModel : public gnn::Module {
   tensor::VarId forward(tensor::Tape& t, const gnn::GraphBatch& b);
 
   /// Tape-free forward over a batch -> [B, out_dim], bit-identical to
-  /// forward() at every thread count. The returned reference (and
-  /// last_graph_embedding_infer()) live in the session's workspace until
-  /// its next begin(). Counts `gnn.fastpath_forwards`.
+  /// forward() at every thread count. A batch with a row plan that covers
+  /// the model's depth (SampleFactory::batch_for) runs the pragma-delta
+  /// forward, with the same bits, and sets the `gnn.delta_row_share`
+  /// gauge. The returned reference (and last_graph_embedding_infer())
+  /// live in the session's workspace until its next begin(). Counts
+  /// `gnn.fastpath_forwards`.
   const tensor::Tensor& forward_infer(gnn::InferenceSession& s,
                                       const gnn::GraphBatch& b);
 

@@ -250,6 +250,8 @@ std::string Server::handle_sweep(Request& req) {
     std::lock_guard<std::mutex> lock(jobs_mu_);
     job->seq = next_job_++;
     job->job_id = "job-" + std::to_string(job->seq);
+    job->time_limit =
+        req.time_limit > 0 ? req.time_limit : opts_.sweep_time_limit;
     jobs_[job->job_id] = job;
     job->thread = std::thread([this, job, r = std::move(req)]() mutable {
       run_sweep_job(job, std::move(r));
@@ -274,11 +276,11 @@ void Server::run_sweep_job(const std::shared_ptr<SweepJob>& job,
     dse::ModelDse dse(instance.bundle(), instance.normalizer(), factory);
 
     dse::DseOptions dopts;
-    dopts.time_limit_seconds =
-        req.time_limit > 0 ? req.time_limit : opts_.sweep_time_limit;
+    dopts.time_limit_seconds = job->time_limit;
     dopts.top_m = req.top_m > 0 ? req.top_m : opts_.top_m;
     dopts.util_threshold = opts_.util_threshold;
     dopts.cancel = &job->cancel;
+    dopts.progress = &job->progress;
     util::Rng rng(opts_.seed);
     dse::DseResult result = dse.run(req.kernel, dopts, rng);
 
@@ -314,19 +316,19 @@ std::string Server::handle_poll(const Request& req) {
   std::string out = ok_head(req.id) + ",\"kind\":\"poll\",\"job\":" +
                     json_quote(job->job_id);
   if (!job->done.load(std::memory_order_acquire)) {
-    // Progress comes from the dse.* heartbeat gauges the search updates
-    // between chunks — the same substrate `--heartbeat` streams.
+    // The job's own progress, which its sweep engine updates after every
+    // chunk (the process-wide dse.* metrics mix concurrent sweeps).
+    const dse::SweepProgress& p = job->progress;
     out += ",\"state\":\"running\"";
     out += ",\"elapsed\":" +
-           double_str(obs::gauge("dse.search_elapsed_seconds").value());
-    out += ",\"time_limit\":" +
-           double_str(obs::gauge("dse.time_limit_seconds").value());
+           double_str(p.elapsed_seconds.load(std::memory_order_relaxed));
+    out += ",\"time_limit\":" + double_str(job->time_limit);
     out += ",\"configs_explored\":" +
-           std::to_string(obs::counter("dse.configs_explored").value());
+           std::to_string(p.configs_explored.load(std::memory_order_relaxed));
     out += ",\"frontier\":" +
-           double_str(obs::gauge("dse.frontier_size").value());
+           std::to_string(p.frontier.load(std::memory_order_relaxed));
     out += ",\"configs_per_sec\":" +
-           double_str(obs::gauge("dse.sweep_configs_per_sec").value());
+           double_str(p.configs_per_sec.load(std::memory_order_relaxed));
     out += "}";
     return out;
   }

@@ -100,6 +100,10 @@ class Server {
     std::atomic<bool> cancel{false};
     std::atomic<bool> done{false};
     std::thread thread;
+    /// Running-state poll fields: this job's own progress, written by its
+    /// sweep engine, and its time limit.
+    dse::SweepProgress progress;
+    double time_limit = 0.0;
 
     /// Result fields, written by the job thread before `done` is set
     /// (release) and read by pollers after observing done (acquire).

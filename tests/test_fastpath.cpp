@@ -1,5 +1,6 @@
 // Tape-free inference fast path: bit-identity against the autodiff tape
-// across model variants, heads, and thread counts; template/skeleton cache
+// across model variants, heads, and thread counts; the pragma-delta
+// forward against the whole-batch forward; template/skeleton cache
 // behaviour; and workspace reuse (no steady-state allocation).
 #include "gnn/infer.hpp"
 #include "model/dataset.hpp"
@@ -8,14 +9,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <iterator>
 #include <string>
 #include <vector>
 
 #include "dspace/design_space.hpp"
 #include "gnn/batch.hpp"
+#include "kernels/generator.hpp"
 #include "kernels/kernels.hpp"
+#include "kernels/registry.hpp"
 #include "obs/metrics.hpp"
 #include "oracle/evaluator.hpp"
 #include "util/parallel.hpp"
@@ -174,6 +180,126 @@ TEST(FastPath, BatchForMatchesPerConfigAssembly) {
     EXPECT_EQ(ref.num_graphs, b.num_graphs);
   }
   obs::set_enabled(false);
+}
+
+/// Byte-for-byte equality (memcmp): no tolerance, and -0.0f != 0.0f.
+void expect_same_bytes(const tensor::Tensor& a, const tensor::Tensor& b,
+                       const std::string& what) {
+  ASSERT_EQ(a.shape(), b.shape()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                        static_cast<std::size_t>(a.numel()) * sizeof(float)),
+            0)
+      << what;
+}
+
+/// Every builtin and extension kernel plus three generated ones.
+std::vector<kir::Kernel> delta_kernels() {
+  const auto& reg = kernels::Registry::global();
+  std::vector<kir::Kernel> out;
+  for (auto p : {kernels::Provenance::kBuiltin, kernels::Provenance::kExtension})
+    for (const auto& name : reg.names(p)) out.push_back(reg.get(name));
+  for (std::uint64_t seed : {1, 2, 3})
+    out.push_back(kernels::generate(kernels::GeneratorConfig{}, seed));
+  return out;
+}
+
+// The row plan batch_for attaches must not change a single bit: the
+// delta forward's predictions and pooled embeddings equal the forward
+// over the same configs assembled by make_batch (no plan), for every
+// kernel, every GNN variant, tail and full chunk sizes, and 1 or 4
+// threads. Every kernel runs every variant at the tail sizes; the full
+// 256-config chunk runs M7 on every kernel and every variant on three,
+// which keeps the test affordable under the sanitizers.
+TEST(FastPath, DeltaForwardBitIdenticalToFullForward) {
+  ThreadGuard guard;
+  struct Variant {
+    ModelKind kind;
+    bool gated;
+  };
+  const Variant variants[] = {
+      {ModelKind::kM3Gcn, true},       {ModelKind::kM4Gat, true},
+      {ModelKind::kM5Tconv, true},     {ModelKind::kM6TconvJkn, true},
+      {ModelKind::kM7Full, true},      {ModelKind::kM7Full, false}};
+  const std::size_t kM7 = 4;
+  const std::string every_variant[] = {"doitgen", "mvt", "gen-s1"};
+  std::vector<std::unique_ptr<PredictiveModel>> models;
+  for (const Variant& v : variants) {
+    ModelOptions mo = tiny_options(v.kind, 4);
+    mo.gnn_layers = 6;
+    mo.tconv_gated_residual = v.gated;
+    util::Rng rng(41);
+    models.push_back(std::make_unique<PredictiveModel>(mo, rng));
+  }
+  SampleFactory factory;
+  gnn::InferenceSession full_s, delta_s;
+  for (const kir::Kernel& kernel : delta_kernels()) {
+    for (std::size_t chunk : {1, 7, 256}) {
+      const auto configs = sample_configs(kernel, chunk, chunk + 5);
+      const auto graphs = featurize_all(factory, kernel, configs);
+      const gnn::GraphBatch full = gnn::make_batch(pointers(graphs));
+      const gnn::GraphBatch& delta = factory.batch_for(kernel, configs);
+      ASSERT_FALSE(full.plan);
+      ASSERT_TRUE(delta.plan && delta.plan->covers(6)) << kernel.name;
+      for (std::size_t m = 0; m < models.size(); ++m) {
+        if (chunk == 256 && m != kM7 &&
+            std::find(std::begin(every_variant), std::end(every_variant),
+                      kernel.name) == std::end(every_variant))
+          continue;
+        // The full forward is thread-count invariant (tested above).
+        util::set_parallel_threads(1);
+        const tensor::Tensor& want = models[m]->forward_infer(full_s, full);
+        const tensor::Tensor& want_emb =
+            models[m]->last_graph_embedding_infer();
+        for (int threads : {1, 4}) {
+          util::set_parallel_threads(threads);
+          const std::string tag = kernel.name + " " +
+                                  to_string(variants[m].kind) +
+                                  (variants[m].gated ? "" : " ungated") +
+                                  " chunk=" + std::to_string(chunk) +
+                                  " threads=" + std::to_string(threads);
+          const tensor::Tensor& got = models[m]->forward_infer(delta_s, delta);
+          expect_same_bytes(want, got, tag);
+          expect_same_bytes(want_emb, models[m]->last_graph_embedding_infer(),
+                            tag + " embedding");
+        }
+      }
+    }
+  }
+}
+
+// The premise behind the plan: in the whole-batch forward, a node outside
+// C_k has the same layer-k row for every configuration. Two configs of
+// one kernel, six TransformerConv layers, rows compared bit for bit.
+TEST(FastPath, RowsOutsidePlanSetAgreeAcrossConfigs) {
+  for (const char* name : {"doitgen", "gesummv", "2mm"}) {
+    kir::Kernel kernel = kernels::make_kernel(name);
+    SampleFactory factory;
+    const auto configs = sample_configs(kernel, 2, 19);
+    const auto graphs = featurize_all(factory, kernel, configs);
+    const gnn::GraphBatch full = gnn::make_batch(pointers(graphs));
+    const gnn::RowPlan& plan = *factory.batch_for(kernel, configs).plan;
+    const std::int64_t n = full.node_offset[1];
+
+    util::Rng rng(3);
+    std::vector<std::unique_ptr<gnn::TransformerConv>> convs;
+    for (int l = 0; l < 6; ++l)
+      convs.push_back(std::make_unique<gnn::TransformerConv>(
+          l == 0 ? full.x.cols() : 16, 16, full.e.cols(), rng));
+    gnn::InferenceSession s;
+    s.begin();
+    const tensor::Tensor* h = &full.x;
+    for (std::size_t l = 0; l < convs.size(); ++l) {
+      h = &s.elu(convs[l]->forward_infer(s, *h, full.conv_rows()));
+      const auto& c_k = plan.layer(l).nodes;
+      for (std::int64_t i = 0; i < n; ++i) {
+        if (std::binary_search(c_k.begin(), c_k.end(), i)) continue;
+        EXPECT_EQ(std::memcmp(h->data() + i * 16, h->data() + (n + i) * 16,
+                              16 * sizeof(float)),
+                  0)
+            << name << " layer " << l + 1 << " node " << i;
+      }
+    }
+  }
 }
 
 TEST(FastPath, TemplateInvalidatedOnKernelEdit) {

@@ -1,6 +1,6 @@
-// GNN library: batching invariants, layer shapes and gradient flow, and a
-// learnability check — each conv kind must be able to separate two graph
-// classes that differ only structurally.
+// GNN library: batching invariants, pragma-delta row plans, layer shapes
+// and gradient flow, and a learnability check — each conv kind must be
+// able to separate two graph classes that differ only structurally.
 #include "gnn/batch.hpp"
 #include "gnn/conv.hpp"
 #include "gnn/layers.hpp"
@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "tensor/adam.hpp"
 
@@ -81,6 +83,137 @@ TEST(Batch, MismatchedFeaturesThrow) {
   b.x = Tensor({3, 5});
   EXPECT_THROW(make_batch({&a, &b}), std::invalid_argument);
   EXPECT_THROW(make_batch({}), std::invalid_argument);
+}
+
+// ------------------------------------------------------------- row plans
+
+/// Hand-built template: `n` nodes and the given (src, dst) edges in order.
+GraphData graph_of(std::int64_t n,
+                   const std::vector<std::pair<std::int32_t, std::int32_t>>& edges) {
+  GraphData g;
+  g.x = Tensor({n, 2});
+  for (std::int64_t i = 0; i < n; ++i) g.x.at(i, 0) = static_cast<float>(i);
+  g.e = Tensor({static_cast<std::int64_t>(edges.size()), 1});
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    g.src.push_back(edges[k].first);
+    g.dst.push_back(edges[k].second);
+    g.e.at(static_cast<std::int64_t>(k), 0) = static_cast<float>(k);
+  }
+  return g;
+}
+
+/// Row of `node` for copy b in a plan layer whose varying set is `set`:
+/// per-copy rows first, then one shared row per other node.
+std::int32_t row_of(const std::vector<std::int32_t>& set, std::int64_t copies,
+                    std::int64_t b, std::int32_t node) {
+  const auto it = std::lower_bound(set.begin(), set.end(), node);
+  const auto below = static_cast<std::int32_t>(it - set.begin());
+  const auto size = static_cast<std::int32_t>(set.size());
+  if (it != set.end() && *it == node)
+    return static_cast<std::int32_t>(b) * size + below;
+  return static_cast<std::int32_t>(copies) * size + node - below;
+}
+
+/// Checks plan_rows on 3 copies of `tpl` against the expected sets C_0..C_K
+/// (the plan saturates at layer K): monotone sets, and every output row's
+/// in-edges complete and in template order, for both edge lists.
+void check_plan(const GraphData& tpl, const std::vector<std::int32_t>& varying,
+                const std::vector<std::vector<std::int32_t>>& want) {
+  const std::int64_t copies = 3;
+  const GraphBatch batch = make_batch({&tpl, &tpl, &tpl});
+  const auto plan = plan_rows(batch, varying);
+  const std::int64_t n = tpl.x.rows();
+  const auto ne = static_cast<std::int32_t>(tpl.src.size());
+  EXPECT_EQ(plan->input_nodes, want[0]);
+  ASSERT_EQ(plan->layers.size(), want.size() - 1);
+  EXPECT_TRUE(plan->saturated);
+  for (std::size_t k = 1; k < want.size(); ++k) {
+    SCOPED_TRACE("layer " + std::to_string(k));
+    const LayerRows& lr = plan->layers[k - 1];
+    const auto& prev = want[k - 1];
+    EXPECT_EQ(lr.nodes, want[k]);
+    EXPECT_TRUE(std::includes(lr.nodes.begin(), lr.nodes.end(), prev.begin(),
+                              prev.end()));
+    EXPECT_EQ(lr.num_rows, copies * static_cast<std::int64_t>(want[k].size()) +
+                               n - static_cast<std::int64_t>(want[k].size()));
+    // Expected edge lists, row by row; shared rows are computed once (as
+    // copy 0).
+    std::vector<std::int32_t> src, dst, qrow, eid, src_sl, dst_sl, qrow_sl;
+    std::vector<float> coeff;
+    std::vector<std::pair<std::int32_t, std::int32_t>> rows;  // (b, node)
+    for (std::int64_t b = 0; b < copies; ++b)
+      for (std::int32_t node : want[k]) rows.push_back({static_cast<std::int32_t>(b), node});
+    for (std::int32_t node = 0; node < n; ++node)
+      if (!std::binary_search(want[k].begin(), want[k].end(), node))
+        rows.push_back({0, node});
+    for (const auto& [b, node] : rows) {
+      const std::int32_t out = row_of(want[k], copies, b, node);
+      const std::int32_t self = row_of(prev, copies, b, node);
+      EXPECT_EQ(lr.rrow[static_cast<std::size_t>(out)], self);
+      for (std::int32_t e = 0; e < ne; ++e) {
+        if (tpl.dst[static_cast<std::size_t>(e)] != node) continue;
+        const std::int32_t from =
+            row_of(prev, copies, b, tpl.src[static_cast<std::size_t>(e)]);
+        src.push_back(from);
+        dst.push_back(out);
+        qrow.push_back(self);
+        eid.push_back(e);
+        src_sl.push_back(from);
+        dst_sl.push_back(out);
+        qrow_sl.push_back(self);
+        coeff.push_back(batch.gcn_coeff[static_cast<std::size_t>(e)]);
+      }
+      src_sl.push_back(self);
+      dst_sl.push_back(out);
+      qrow_sl.push_back(self);
+      coeff.push_back(batch.gcn_coeff[static_cast<std::size_t>(copies * ne + node)]);
+    }
+    EXPECT_EQ(lr.src, src);
+    EXPECT_EQ(lr.dst, dst);
+    EXPECT_EQ(lr.qrow, qrow);
+    EXPECT_EQ(lr.eid, eid);
+    EXPECT_EQ(lr.src_sl, src_sl);
+    EXPECT_EQ(lr.dst_sl, dst_sl);
+    EXPECT_EQ(lr.qrow_sl, qrow_sl);
+    EXPECT_EQ(lr.gcn_coeff, coeff);
+    for (std::int64_t b = 0; b < copies; ++b)
+      for (std::int32_t node = 0; node < n; ++node)
+        EXPECT_EQ(lr.node_row[static_cast<std::size_t>(b * n + node)],
+                  row_of(want[k], copies, b, node));
+  }
+}
+
+TEST(RowPlan, ChainGrowsOneHopPerLayer) {
+  check_plan(graph_of(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}}), {0},
+             {{0}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}, {0, 1, 2, 3, 4},
+              {0, 1, 2, 3, 4}});
+}
+
+TEST(RowPlan, FanInKeepsEveryInEdgeInOrder) {
+  // Node 0 has three in-edges, only one from the varying node: its row
+  // must still aggregate all three, in edge order.
+  check_plan(graph_of(5, {{1, 0}, {2, 0}, {0, 4}, {3, 0}}), {2},
+             {{2}, {0, 2}, {0, 2, 4}, {0, 2, 4}});
+}
+
+TEST(RowPlan, CycleSaturates) {
+  check_plan(graph_of(4, {{0, 1}, {1, 2}, {2, 0}, {3, 0}}), {1},
+             {{1}, {1, 2}, {0, 1, 2}, {0, 1, 2}});
+}
+
+TEST(RowPlan, IsolatedPragmaNodeStaysAlone) {
+  check_plan(graph_of(4, {{0, 1}, {1, 2}}), {3, 3}, {{3}, {3}});
+}
+
+TEST(RowPlan, DepthCapLeavesDeeperModelsUncovered) {
+  std::vector<std::pair<std::int32_t, std::int32_t>> chain;
+  for (std::int32_t i = 0; i + 1 < 12; ++i) chain.push_back({i, i + 1});
+  const GraphData g = graph_of(12, chain);
+  const auto plan = plan_rows(make_batch({&g, &g}), std::vector<std::int32_t>{0});
+  EXPECT_EQ(plan->layers.size(), RowPlan::kMaxDepth);
+  EXPECT_FALSE(plan->saturated);
+  EXPECT_TRUE(plan->covers(RowPlan::kMaxDepth));
+  EXPECT_FALSE(plan->covers(RowPlan::kMaxDepth + 1));
 }
 
 TEST(Linear, ShapeAndBias) {

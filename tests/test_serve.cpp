@@ -2,8 +2,9 @@
 // triggers and failure isolation, atomic model hot-swap under concurrent
 // predict traffic (run under TSan via scripts/check_tsan.sh), a loopback
 // end-to-end pass through the Server, oversize-line rejection, the cap on
-// retained finished sweep jobs, and the template-eviction scale test (a
-// daemon's working set is many client kernels under one byte budget).
+// retained finished sweep jobs, per-job progress in running-sweep polls,
+// and the template-eviction scale test (a daemon's working set is many
+// client kernels under one byte budget).
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "dspace/design_space.hpp"
 #include "frontend/kernel_json.hpp"
 #include "kernels/generator.hpp"
 #include "model/weights.hpp"
@@ -573,6 +575,89 @@ TEST(ServeServer, FinishedSweepJobsAreCapped) {
 
   call("{\"kind\":\"admin\",\"op\":\"drain\",\"id\":9}");
   runner.join();
+}
+
+// A running sweep's poll reports that job's own progress. Two sweeps run
+// concurrently over whole design spaces of different sizes, after a first
+// sweep has already advanced the process-wide dse.configs_explored
+// counter; no poll of either job may report more configs than its own
+// space holds, the budget an exhaustive sweep cannot exceed.
+TEST(ServeServer, ConcurrentSweepPollsReportOwnProgress) {
+  obs::set_enabled(true);  // the process-wide dse.* metrics record
+  ModelSlot slot;
+  slot.install(make_snapshot(11));
+  model::SampleFactory factory;
+  serve::ServerOptions so;
+  so.port = 0;
+  serve::Server server(slot, factory, so);
+  std::thread runner([&] { server.run(); });
+
+  // Two generated kernels with exhaustively swept spaces of different
+  // sizes, each spanning several 256-config chunks.
+  std::vector<kir::Kernel> picked;
+  std::vector<std::uint64_t> budget;
+  for (std::uint64_t seed = 1; picked.size() < 2 && seed < 200; ++seed) {
+    kir::Kernel k = test_kernel(seed);
+    const std::uint64_t n = dspace::DesignSpace(k).pruned_size();
+    if (n < 600 || n > 4000 || (!budget.empty() && n == budget[0])) continue;
+    picked.push_back(std::move(k));
+    budget.push_back(n);
+  }
+  ASSERT_EQ(picked.size(), 2u);
+  const std::size_t big = budget[0] > budget[1] ? 0 : 1;
+
+  serve::Socket sock = serve::connect_to("127.0.0.1", server.port());
+  serve::LineReader lines(sock);
+  const auto call = [&](const std::string& request) {
+    std::string resp;
+    EXPECT_TRUE(sock.send_line(request));
+    EXPECT_TRUE(lines.read_line(&resp));
+    return resp;
+  };
+  const auto sweep = [&](std::size_t i) {
+    const std::string resp =
+        call("{\"kind\":\"sweep\",\"kernel\":" + kernel_json_line(picked[i]) +
+             ",\"time_limit\":60,\"top_m\":1}");
+    const auto jstart = resp.find("\"job\":\"");
+    EXPECT_NE(jstart, std::string::npos) << resp;
+    const auto jpos = jstart + std::strlen("\"job\":\"");
+    return resp.substr(jpos, resp.find('"', jpos) - jpos);
+  };
+  const auto number_after = [](const std::string& s, const std::string& key) {
+    const auto pos = s.find("\"" + key + "\":");
+    EXPECT_NE(pos, std::string::npos) << key << " in " << s;
+    return std::stoull(s.substr(pos + key.size() + 3));
+  };
+  // Polls `job` until it finishes; every answer must stay within `limit`.
+  // Returns false once the job is done.
+  const auto poll_within = [&](const std::string& job, std::uint64_t limit) {
+    const std::string resp = call("{\"kind\":\"poll\",\"job\":\"" + job + "\"}");
+    EXPECT_EQ(resp.find("\"ok\":false"), std::string::npos) << resp;
+    const bool running = resp.find("\"state\":\"running\"") != std::string::npos;
+    EXPECT_LE(number_after(resp, running ? "configs_explored" : "num_explored"),
+              limit)
+        << resp;
+    return running;
+  };
+
+  // The first sweep runs alone, to completion.
+  const std::string first = sweep(big);
+  while (poll_within(first, budget[big]))
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  // Then both kernels at once, the smaller one submitted last and polled
+  // first.
+  const std::string a = sweep(big);
+  const std::string b = sweep(1 - big);
+  bool a_running = true, b_running = true;
+  while (a_running || b_running) {
+    if (b_running) b_running = poll_within(b, budget[1 - big]);
+    if (a_running) a_running = poll_within(a, budget[big]);
+  }
+
+  call("{\"kind\":\"admin\",\"op\":\"drain\",\"id\":9}");
+  runner.join();
+  obs::set_enabled(false);
 }
 
 // ------------------------------------------------------- eviction at scale

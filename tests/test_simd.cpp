@@ -239,6 +239,10 @@ TEST(SimdKernels, FusedKernelsBitIdenticalAcrossLevelsAndThreads) {
     const Tensor alpha = random_tensor({kE, 1}, rng);
     const auto src = random_indices(static_cast<std::size_t>(kE), kN, rng);
     const auto dst = random_indices(static_cast<std::size_t>(kE), kN, rng);
+    // Row-plan index maps: edge-feature rows and residual rows read
+    // through an index instead of the edge or row number.
+    const auto eid = random_indices(static_cast<std::size_t>(kE), kE, rng);
+    const auto rrow = random_indices(static_cast<std::size_t>(kN), kN, rng);
     std::vector<std::int32_t> seg(static_cast<std::size_t>(kE));
     for (std::size_t i = 0; i < seg.size(); ++i)
       seg[i] = static_cast<std::int32_t>(
@@ -247,6 +251,7 @@ TEST(SimdKernels, FusedKernelsBitIdenticalAcrossLevelsAndThreads) {
     // Scalar single-thread reference for every kernel.
     struct Results {
       Tensor residual, gated, eattn, epair, wscatter, ssmax;
+      Tensor residual_ix, eattn_ix, wscatter_ix;
     };
     auto run = [&](SimdLevel lvl, int threads) {
       util::set_parallel_threads(threads);
@@ -256,10 +261,16 @@ TEST(SimdKernels, FusedKernelsBitIdenticalAcrossLevelsAndThreads) {
       Results r;
       r.residual = s.residual_concat(x, y);
       r.gated = s.gated_mix(x, beta, cat);
-      r.eattn = s.edge_attention_scores(q, k, ek, src, dst, 0.25f);
+      r.eattn = s.edge_attention_scores(q, k, ek, src, dst, nullptr, 0.25f);
       r.epair = s.edge_pair_scores(scores1, scores2, src, dst, 0.2f);
-      r.wscatter = s.weighted_scatter_add(alpha.data(), x, &ek, src, dst, kN);
+      r.wscatter = s.weighted_scatter_add(alpha.data(), x, &ek, src, dst,
+                                          nullptr, kN);
       r.ssmax = s.segment_softmax(escores, seg, kSegs);
+      r.residual_ix = s.residual_concat(x, y, rrow.data());
+      r.eattn_ix =
+          s.edge_attention_scores(q, k, ek, src, dst, eid.data(), 0.25f);
+      r.wscatter_ix = s.weighted_scatter_add(alpha.data(), x, &ek, src, dst,
+                                             eid.data(), kN);
       return r;
     };
     const Results ref = run(SimdLevel::kScalar, 1);
@@ -276,6 +287,12 @@ TEST(SimdKernels, FusedKernelsBitIdenticalAcrossLevelsAndThreads) {
         expect_bitwise(ref.wscatter, got.wscatter,
                        "weighted_scatter_add " + tag);
         expect_bitwise(ref.ssmax, got.ssmax, "segment_softmax " + tag);
+        expect_bitwise(ref.residual_ix, got.residual_ix,
+                       "residual_concat rrow " + tag);
+        expect_bitwise(ref.eattn_ix, got.eattn_ix,
+                       "edge_attention_scores eid " + tag);
+        expect_bitwise(ref.wscatter_ix, got.wscatter_ix,
+                       "weighted_scatter_add eid " + tag);
       }
     }
   }
@@ -301,7 +318,7 @@ TEST(SimdKernels, EdgeAttentionVariantsBitIdenticalToScalar) {
       std::vector<float> ref(static_cast<std::size_t>(e), 0.0f);
       gnn::simd::edge_attention_scores_range(
           SimdLevel::kScalar, q.data(), k.data(), ek.data(), src.data(),
-          dst.data(), d, 0.125f, ref.data(), 0, e);
+          dst.data(), nullptr, d, 0.125f, ref.data(), 0, e);
       for (SimdLevel lvl : available_levels()) {
         const std::string tag = std::string("edge_attention ") +
                                 util::simd_level_name(lvl) +
@@ -309,16 +326,16 @@ TEST(SimdKernels, EdgeAttentionVariantsBitIdenticalToScalar) {
                                 " d=" + std::to_string(d);
         std::vector<float> got(static_cast<std::size_t>(e), 0.0f);
         gnn::simd::edge_attention_scores_range(
-            lvl, q.data(), k.data(), ek.data(), src.data(), dst.data(), d,
-            0.125f, got.data(), 0, e);
+            lvl, q.data(), k.data(), ek.data(), src.data(), dst.data(),
+            nullptr, d, 0.125f, got.data(), 0, e);
         EXPECT_EQ(ref, got) << tag;
         // Partial edge range (threaded chunks start mid-array): the
         // untouched prefix/suffix must stay zero.
         if (e > 4) {
           std::vector<float> part(static_cast<std::size_t>(e), 0.0f);
           gnn::simd::edge_attention_scores_range(
-              lvl, q.data(), k.data(), ek.data(), src.data(), dst.data(), d,
-              0.125f, part.data(), 3, e - 1);
+              lvl, q.data(), k.data(), ek.data(), src.data(), dst.data(),
+              nullptr, d, 0.125f, part.data(), 3, e - 1);
           for (std::int64_t i = 0; i < e; ++i) {
             const float want =
                 (i >= 3 && i < e - 1) ? ref[static_cast<std::size_t>(i)]
@@ -351,12 +368,13 @@ TEST(SimdKernels, RangeHelpersBitIdenticalOnUnalignedViews) {
   float* op = obuf.data() + 1;
   std::vector<float> ref(static_cast<std::size_t>(e));
   gnn::simd::edge_attention_scores_range(SimdLevel::kScalar, qp, kp, ep,
-                                         src.data(), dst.data(), d, 0.25f,
-                                         ref.data(), 0, e);
+                                         src.data(), dst.data(), nullptr, d,
+                                         0.25f, ref.data(), 0, e);
   for (SimdLevel lvl : available_levels()) {
     std::memset(op, 0, static_cast<std::size_t>(e) * sizeof(float));
     gnn::simd::edge_attention_scores_range(lvl, qp, kp, ep, src.data(),
-                                           dst.data(), d, 0.25f, op, 0, e);
+                                           dst.data(), nullptr, d, 0.25f, op,
+                                           0, e);
     for (std::int64_t i = 0; i < e; ++i)
       ASSERT_EQ(ref[static_cast<std::size_t>(i)], op[i])
           << "edge_attention unaligned " << util::simd_level_name(lvl)
