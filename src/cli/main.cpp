@@ -45,7 +45,6 @@
 #include "graphgen/dot_export.hpp"
 #include "kernels/generator.hpp"
 #include "kernels/kernels.hpp"
-#include "kernels/kernels_extension.hpp"
 #include "kernels/registry.hpp"
 #include "obs/report.hpp"
 #include "oracle/stack.hpp"
@@ -83,9 +82,10 @@ kir::Kernel resolve_kernel(const std::string& name_or_path) {
 /// kernel, plus --gen N seeded-generator kernels (--gen-seed S, default 1).
 std::vector<kir::Kernel> training_set(const cli::Args& args) {
   auto ks = kernels::make_training_kernels();
-  if (args.has("extension"))
-    for (auto& k : kernels::make_extension_kernels()) ks.push_back(k);
   auto& reg = kernels::Registry::global();
+  if (args.has("extension"))
+    for (const auto& name : reg.names(kernels::Provenance::kExtension))
+      ks.push_back(reg.get(name));
   if (args.has("kernels"))
     for (const auto& name : reg.add_directory(args.get("kernels", "")))
       ks.push_back(reg.get(name));
@@ -107,19 +107,19 @@ int cmd_list_kernels(const cli::Args& args) {
   util::Table t{"Kernels"};
   t.header({"Kernel", "Source", "Set", "#pragmas", "#configs (pruned)",
             "Loops", "Stmts"});
-  auto set_of = [](const std::string& name) -> const char* {
+  auto set_of = [](const std::string& name,
+                   const kernels::KernelEntry& e) -> const char* {
     for (const auto& n : kernels::training_kernel_names())
       if (n == name) return "training";
     for (const auto& n : kernels::unseen_kernel_names())
       if (n == name) return "unseen";
-    for (const auto& n : kernels::extension_kernel_names())
-      if (n == name) return "extension";
+    if (e.provenance == kernels::Provenance::kExtension) return "extension";
     return "-";
   };
   for (const auto& name : reg.names()) {
     const auto& e = reg.entry(name);
     dspace::DesignSpace space(e.kernel);
-    t.row({name, kernels::provenance_name(e.provenance), set_of(name),
+    t.row({name, kernels::provenance_name(e.provenance), set_of(name, e),
            util::Table::fmt_int(e.kernel.num_pragma_sites()),
            util::Table::fmt_commas(static_cast<long long>(space.pruned_size())),
            util::Table::fmt_int(static_cast<long long>(e.kernel.loops.size())),

@@ -1,7 +1,6 @@
 #include "gnn/batch.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
@@ -13,12 +12,9 @@ namespace {
 
 /// Shared batch assembly over any indexable graph range: both public
 /// overloads funnel here so their outputs are identical by construction.
-std::atomic<std::uint64_t> g_batch_id{0};
-
 template <typename GetGraph>
 GraphBatch make_batch_impl(std::size_t count, GetGraph&& graph_at) {
   GraphBatch b;
-  b.batch_id = g_batch_id.fetch_add(1, std::memory_order_relaxed) + 1;
   const std::int64_t fn = graph_at(0).x.cols();
   const std::int64_t fe = graph_at(0).e.cols();
   // Serial prefix pass fixes every graph's node/edge offset so the copy
@@ -106,7 +102,6 @@ ConvRows GraphBatch::conv_rows() const {
   r.dst = dst;
   r.qrow = dst;
   r.edges = &e;
-  r.edges_id = batch_id;
   r.src_sl = src_sl;
   r.dst_sl = dst_sl;
   r.qrow_sl = dst_sl;
@@ -123,7 +118,6 @@ ConvRows RowPlan::conv_rows(std::size_t l) const {
   r.qrow = lr.qrow;
   r.eid = lr.eid.data();
   r.edges = &e;
-  r.edges_id = id;
   r.src_sl = lr.src_sl;
   r.dst_sl = lr.dst_sl;
   r.qrow_sl = lr.qrow_sl;
@@ -178,7 +172,6 @@ struct RowSpace {
 std::shared_ptr<RowPlan> plan_rows(const GraphBatch& copies,
                                    std::span<const std::int32_t> varying) {
   auto plan = std::make_shared<RowPlan>();
-  plan->id = g_batch_id.fetch_add(1, std::memory_order_relaxed) + 1;
   const std::int64_t nb = copies.num_graphs;
   const auto n = static_cast<std::size_t>(copies.node_offset[1]);
   const std::size_t ne = copies.src.size() / static_cast<std::size_t>(nb);

@@ -37,8 +37,6 @@ struct ConvRows {
   std::span<const std::int32_t> src, dst, qrow;
   const std::int32_t* eid = nullptr;
   const tensor::Tensor* edges = nullptr;
-  /// Key for caches of values derived from `edges` (batch or plan id).
-  std::uint64_t edges_id = 0;
   /// GCN/GAT edges with one self loop per output row, in the same roles.
   std::span<const std::int32_t> src_sl, dst_sl, qrow_sl;
   const float* gcn_coeff = nullptr;
@@ -77,7 +75,6 @@ struct RowPlan {
   /// whole batch instead.
   static constexpr std::size_t kMaxDepth = 6;
 
-  std::uint64_t id = 0;      // edges_id of the plan's ConvRows
   std::int64_t copies = 0;   // B
   std::int64_t nodes = 0;    // N, template nodes
   std::vector<std::int32_t> input_nodes;  // C_0, ascending
@@ -114,14 +111,6 @@ struct GraphBatch {
   tensor::Tensor aux;                          // [B, Fa] or empty
   std::int64_t num_nodes = 0;
   std::int64_t num_graphs = 0;
-
-  /// Unique id per make_batch call (monotonic, never 0 for a built batch).
-  /// The batch's topology and edge features are immutable once built, so
-  /// the id keys caches of batch-derived values (TransformerConv keeps its
-  /// edge-feature projections per batch id; the DSE skeleton cache hands
-  /// the same batch to every chunk, turning those projections into
-  /// once-per-sweep work).
-  std::uint64_t batch_id = 0;
 
   /// Node index ranges per graph (for mapping pooled rows back).
   std::vector<std::int64_t> node_offset;  // size num_graphs + 1

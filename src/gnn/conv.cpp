@@ -1,6 +1,5 @@
 #include "gnn/conv.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "obs/metrics.hpp"
@@ -146,35 +145,6 @@ VarId TransformerConv::forward(Tape& t, VarId x, const GraphBatch& b) {
   return t.add(m, t.mul_colbcast(beta, t.sub(r, m)));
 }
 
-const TransformerConv::EdgeProjection& TransformerConv::edge_projection(
-    const ConvRows& r) {
-  static obs::Counter& c_rebuilds = obs::counter("gnn.edge_proj_rebuilds");
-  const std::uint64_t pv = tensor::params_version();
-  if (r.edges_id != 0) {
-    for (std::size_t i = 0; i < eproj_.size(); ++i) {
-      if (eproj_[i].edges_id == r.edges_id &&
-          eproj_[i].params_version == pv) {
-        if (i != 0)  // move-to-front so the LRU victim stays at the back
-          std::rotate(eproj_.begin(), eproj_.begin() + static_cast<long>(i),
-                      eproj_.begin() + static_cast<long>(i) + 1);
-        return eproj_.front();
-      }
-    }
-  }
-  // Miss: recycle the least-recently-used slot into the front.
-  std::rotate(eproj_.begin(), eproj_.end() - 1, eproj_.end());
-  EdgeProjection& slot = eproj_.front();
-  // Same computation as Linear::forward_infer on the edge table (no
-  // bias): zeroed output + matmul_acc, so the cached tensors are
-  // bit-identical to the per-forward session results they replace.
-  slot.ek = tensor::matmul(*r.edges, we_k_.weight().value);
-  slot.ev = tensor::matmul(*r.edges, we_v_.weight().value);
-  slot.edges_id = r.edges_id;
-  slot.params_version = pv;
-  obs::add(c_rebuilds);
-  return slot;
-}
-
 const Tensor& TransformerConv::forward_infer(InferenceSession& s,
                                              const Tensor& x,
                                              const ConvRows& r) {
@@ -182,15 +152,16 @@ const Tensor& TransformerConv::forward_infer(InferenceSession& s,
   const Tensor& q = wq_.forward_infer(s, x);
   const Tensor& k = wk_.forward_infer(s, x);
   const Tensor& v = wv_.forward_infer(s, x);
-  const EdgeProjection& ep = edge_projection(r);  // ek/ev, cached per batch
+  const Tensor& ek = we_k_.forward_infer(s, *r.edges);
+  const Tensor& ev = we_v_.forward_infer(s, *r.edges);
 
   // Fused attention: no materialized q_edge/k_edge/v_edge/msg buffers; the
   // per-element products and accumulation orders match the tape chain.
   const Tensor& score =
-      s.edge_attention_scores(q, k, ep.ek, r.src, r.qrow, r.eid,
+      s.edge_attention_scores(q, k, ek, r.src, r.qrow, r.eid,
                               1.0f / std::sqrt(static_cast<float>(out_dim_)));
   const Tensor& alpha = s.segment_softmax(score, r.dst, r.num_rows);
-  const Tensor& m = s.weighted_scatter_add(alpha.data(), v, &ep.ev, r.src,
+  const Tensor& m = s.weighted_scatter_add(alpha.data(), v, &ev, r.src,
                                            r.dst, r.eid, r.num_rows);
 
   const Tensor& skip = skip_.forward_infer(s, x);

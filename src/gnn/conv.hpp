@@ -3,8 +3,6 @@
 // paper's M3/M4/M5 building blocks.
 #pragma once
 
-#include <array>
-
 #include "gnn/batch.hpp"
 #include "gnn/layers.hpp"
 
@@ -84,30 +82,9 @@ class TransformerConv : public ConvLayer {
   std::vector<tensor::Parameter*> params() override;
 
  private:
-  /// Edge-feature projections W3 e and W5 e depend only on the batch's
-  /// immutable edge features and the layer weights, so the fast path
-  /// computes them once per (edges_id, params_version) instead of every
-  /// forward — the DSE skeleton cache reuses one batch across a whole
-  /// sweep, turning two [E, D] matmuls per chunk into once-per-sweep work.
-  /// A row plan's edge table is the template's E edges, not B·E.
-  /// A small move-to-front LRU (kEdgeProjSlots, sized to match
-  /// SampleFactory's skeleton list) instead of a single entry: heuristic
-  /// sweeps alternate full and partial chunk sizes, each a skeleton with
-  /// its own batch id, and one slot would thrash on every alternation.
-  /// Invalidation is automatic: make_batch mints fresh batch ids and
-  /// Adam::step()/load_params() bump tensor::params_version().
-  struct EdgeProjection {
-    std::uint64_t edges_id = 0;
-    std::uint64_t params_version = 0;
-    tensor::Tensor ek, ev;  // [E, out]
-  };
-  static constexpr std::size_t kEdgeProjSlots = 4;
-  const EdgeProjection& edge_projection(const ConvRows& r);
-
   Linear wq_, wk_, wv_, we_k_, we_v_, skip_, gate_;
   std::int64_t out_dim_;
   bool gated_residual_;
-  std::array<EdgeProjection, kEdgeProjSlots> eproj_;
 };
 
 }  // namespace gnndse::gnn

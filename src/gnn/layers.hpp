@@ -33,10 +33,6 @@ class Linear : public Module {
   std::int64_t in_features() const { return w_.value.dim(0); }
   std::int64_t out_features() const { return w_.value.dim(1); }
 
-  /// Weight matrix [in, out] — read-only access for callers that cache
-  /// weight-derived values (TransformerConv's edge projections).
-  const tensor::Parameter& weight() const { return w_; }
-
  private:
   tensor::Parameter w_;
   tensor::Parameter b_;

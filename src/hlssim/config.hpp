@@ -44,7 +44,9 @@ struct DesignConfig {
   std::string key() const;
 };
 
-/// Parses a key produced by DesignConfig::key(). Throws on malformed input.
+/// Parses a key produced by DesignConfig::key(). Throws
+/// std::invalid_argument on malformed input: segment i must read
+/// `L<i>:<off|cg|fg>/<parallel>/<tile>` with whole-integer factors >= 1.
 DesignConfig parse_config_key(const std::string& key);
 
 }  // namespace gnndse::hlssim

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "kernels/kernels_extension.hpp"
 #include "kernels/registry.hpp"
 
 namespace gnndse::kernels {

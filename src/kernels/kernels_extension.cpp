@@ -6,10 +6,6 @@
 // (md-knn, MachSuite).
 #include "kernels/kernels_extension.hpp"
 
-#include <stdexcept>
-
-#include "kernels/registry.hpp"
-
 namespace gnndse::kernels {
 namespace {
 
@@ -243,12 +239,6 @@ Kernel make_md_knn() {
 
 }  // namespace
 
-const std::vector<std::string>& extension_kernel_names() {
-  static const std::vector<std::string> names{
-      "gemver", "jacobi-2d", "fdtd-2d", "trmm", "syrk", "md-knn"};
-  return names;
-}
-
 namespace detail {
 
 const std::vector<NamedFactory>& extension_factories() {
@@ -261,19 +251,5 @@ const std::vector<NamedFactory>& extension_factories() {
 }
 
 }  // namespace detail
-
-kir::Kernel make_extension_kernel(const std::string& name) {
-  const KernelEntry e = Registry::global().entry(name);
-  if (e.provenance != Provenance::kExtension)
-    throw std::invalid_argument("unknown extension kernel: " + name);
-  return e.kernel;
-}
-
-std::vector<kir::Kernel> make_extension_kernels() {
-  std::vector<kir::Kernel> out;
-  for (const auto& n : extension_kernel_names())
-    out.push_back(make_extension_kernel(n));
-  return out;
-}
 
 }  // namespace gnndse::kernels

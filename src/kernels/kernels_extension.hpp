@@ -1,6 +1,8 @@
 // Extension kernels beyond the DAC'22 evaluation — the paper's future-work
 // direction of covering more domains (§6). Usable anywhere the core suite
-// is: database generation, training, DSE.
+// is: database generation, training, DSE. The registry seeds itself from
+// detail::extension_factories(); look the kernels up there
+// (Registry::global().names(Provenance::kExtension)).
 #pragma once
 
 #include <string>
@@ -10,16 +12,6 @@
 #include "kir/kernel.hpp"
 
 namespace gnndse::kernels {
-
-/// Names of the extension kernels (gemver, jacobi-2d, fdtd-2d, trmm, syrk,
-/// md-knn).
-const std::vector<std::string>& extension_kernel_names();
-
-/// Builds an extension kernel by name; throws for unknown names (and for
-/// names that exist in the registry but are not extension kernels).
-kir::Kernel make_extension_kernel(const std::string& name);
-
-std::vector<kir::Kernel> make_extension_kernels();
 
 namespace detail {
 /// The 6 extension kernel constructors, declaration order.

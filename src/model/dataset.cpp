@@ -153,8 +153,8 @@ const gnn::GraphBatch& SampleFactory::batch_for(
   const auto kc = cache_for(kernel);  // pins the template against eviction
 
   // MRU skeleton lookup keyed by kernel + digest + batch size. A hit hands
-  // back an already-assembled batch whose batch_id is stable, so the conv
-  // layers' edge-projection caches stay warm across chunks and sweeps.
+  // back an already-assembled batch and its row plan, so a chunk skips
+  // make_batch and plan_rows and only rewrites the per-config rows.
   auto it = std::find_if(skeletons_.begin(), skeletons_.end(),
                          [&](const Skeleton& s) {
                            return s.kernel == kernel.name &&

@@ -54,7 +54,6 @@ void load_params(const std::vector<tensor::Parameter*>& params,
             static_cast<std::streamsize>(p->value.numel() * sizeof(float)));
   }
   if (!in) throw std::runtime_error("load_params: truncated file " + path);
-  tensor::bump_params_version();
 }
 
 bool weights_exist(const std::string& path) {
@@ -108,7 +107,6 @@ void assign_params(const std::vector<tensor::Parameter*>& params,
       throw std::runtime_error("assign_params: shape mismatch");
     params[i]->value = values[i];
   }
-  tensor::bump_params_version();
 }
 
 }  // namespace gnndse::model

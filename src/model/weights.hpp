@@ -34,9 +34,7 @@ std::vector<tensor::Tensor> copy_params(
 std::vector<tensor::Tensor> load_raw_params(const std::string& path);
 
 /// Assigns blob values into a model's parameters (count- and shape-checked;
-/// throws std::runtime_error on mismatch) and bumps
-/// tensor::params_version() so parameter-keyed caches (the TransformerConv
-/// edge projections) refresh.
+/// throws std::runtime_error on mismatch).
 void assign_params(const std::vector<tensor::Parameter*>& params,
                    const std::vector<tensor::Tensor>& values);
 

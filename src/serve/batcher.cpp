@@ -29,6 +29,35 @@ void check_config(const kir::Kernel& kernel,
         std::to_string(kernel.loops.size()));
 }
 
+/// Runs the three heads on `batch` and builds one successful response per
+/// graph, stamped with the instance's version and the batch size.
+std::vector<PredictResult> predict_rows(ModelInstance& instance,
+                                        const gnn::GraphBatch& batch) {
+  // Three distinct trainers, three distinct inference workspaces: all
+  // three references stay valid through the fill loop (the same pattern
+  // as ModelDse::score_chunk).
+  dse::ModelBundle bundle = instance.bundle();
+  const tensor::Tensor& main_pred = bundle.regression_main->predict_batch(batch);
+  const tensor::Tensor& bram_pred = bundle.regression_bram->predict_batch(batch);
+  const tensor::Tensor& valid_pred = bundle.classifier->predict_batch(batch);
+
+  std::vector<PredictResult> out(static_cast<std::size_t>(batch.num_graphs));
+  for (std::size_t row = 0; row < out.size(); ++row) {
+    PredictResult& r = out[row];
+    const auto i = static_cast<std::int64_t>(row);
+    r.ok = true;
+    r.predicted[model::kLatency] = main_pred.at(i, 0);
+    r.predicted[model::kDsp] = main_pred.at(i, 1);
+    r.predicted[model::kLut] = main_pred.at(i, 2);
+    r.predicted[model::kFf] = main_pred.at(i, 3);
+    r.predicted[model::kBram] = bram_pred.at(i, 0);
+    r.p_valid = sigmoidf(valid_pred.at(i, 0));
+    r.model_version = instance.version();
+    r.batch_size = static_cast<int>(out.size());
+  }
+  return out;
+}
+
 }  // namespace
 
 PredictResult predict_single(ModelInstance& instance,
@@ -39,23 +68,7 @@ PredictResult predict_single(ModelInstance& instance,
   try {
     check_config(kernel, config);
     const gnn::GraphData graph = factory.featurize(kernel, config);
-    const gnn::GraphBatch batch = gnn::make_batch({&graph});
-    dse::ModelBundle bundle = instance.bundle();
-    const tensor::Tensor& main_pred =
-        bundle.regression_main->predict_batch(batch);
-    const tensor::Tensor& bram_pred =
-        bundle.regression_bram->predict_batch(batch);
-    const tensor::Tensor& valid_pred =
-        bundle.classifier->predict_batch(batch);
-    r.ok = true;
-    r.predicted[model::kLatency] = main_pred.at(0, 0);
-    r.predicted[model::kDsp] = main_pred.at(0, 1);
-    r.predicted[model::kLut] = main_pred.at(0, 2);
-    r.predicted[model::kFf] = main_pred.at(0, 3);
-    r.predicted[model::kBram] = bram_pred.at(0, 0);
-    r.p_valid = sigmoidf(valid_pred.at(0, 0));
-    r.model_version = instance.version();
-    r.batch_size = 1;
+    r = std::move(predict_rows(instance, gnn::make_batch({&graph})).front());
   } catch (const std::exception& e) {
     r.error = e.what();
   }
@@ -175,30 +188,10 @@ void Batcher::flush(std::vector<Item>& items) {
     std::vector<const gnn::GraphData*> ptrs;
     ptrs.reserve(graphs.size());
     for (const auto& g : graphs) ptrs.push_back(&g);
-    const gnn::GraphBatch batch = gnn::make_batch(ptrs);
-
-    // Three distinct trainers, three distinct inference workspaces: all
-    // three references stay valid through the fill loop (the same pattern
-    // as ModelDse::score_chunk).
-    dse::ModelBundle bundle = instance_.bundle();
-    const tensor::Tensor& main_pred = bundle.regression_main->predict_batch(batch);
-    const tensor::Tensor& bram_pred = bundle.regression_bram->predict_batch(batch);
-    const tensor::Tensor& valid_pred = bundle.classifier->predict_batch(batch);
-
-    for (std::size_t row = 0; row < live.size(); ++row) {
-      PredictResult r;
-      r.ok = true;
-      const auto i = static_cast<std::int64_t>(row);
-      r.predicted[model::kLatency] = main_pred.at(i, 0);
-      r.predicted[model::kDsp] = main_pred.at(i, 1);
-      r.predicted[model::kLut] = main_pred.at(i, 2);
-      r.predicted[model::kFf] = main_pred.at(i, 3);
-      r.predicted[model::kBram] = bram_pred.at(i, 0);
-      r.p_valid = sigmoidf(valid_pred.at(i, 0));
-      r.model_version = instance_.version();
-      r.batch_size = static_cast<int>(live.size());
-      items[live[row]].promise.set_value(std::move(r));
-    }
+    std::vector<PredictResult> results =
+        predict_rows(instance_, gnn::make_batch(ptrs));
+    for (std::size_t row = 0; row < live.size(); ++row)
+      items[live[row]].promise.set_value(std::move(results[row]));
   } catch (const std::exception& e) {
     for (std::size_t idx : live) {
       PredictResult r;

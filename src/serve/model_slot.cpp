@@ -42,9 +42,7 @@ void ModelInstance::ensure(const SnapshotPtr& snap) {
   if (snap_ && snap_->version == snap->version) return;
 
   // Rebuild from scratch: constructing with a fixed rng then overwriting
-  // every parameter yields the snapshot weights exactly; assign_params
-  // bumps the params version so the conv layers' parameter-keyed caches
-  // refresh.
+  // every parameter yields the snapshot weights exactly.
   util::Rng rng(1);
   model::ModelOptions mo = snap->base;
   mo.out_dim = 4;

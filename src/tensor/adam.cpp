@@ -13,7 +13,6 @@ void Adam::register_params(const std::vector<Parameter*>& ps) {
 }
 
 void Adam::step() {
-  bump_params_version();
   ++step_count_;
   const float b1 = config_.beta1, b2 = config_.beta2;
   const float bc1 = 1.0f - std::pow(b1, static_cast<float>(step_count_));

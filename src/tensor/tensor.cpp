@@ -1,7 +1,6 @@
 #include "tensor/tensor.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <ostream>
@@ -341,18 +340,6 @@ Tensor concat_cols(const std::vector<const Tensor*>& parts) {
     }
   }
   return out;
-}
-
-namespace {
-std::atomic<std::uint64_t> g_params_version{1};
-}  // namespace
-
-std::uint64_t params_version() {
-  return g_params_version.load(std::memory_order_relaxed);
-}
-
-void bump_params_version() {
-  g_params_version.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace gnndse::tensor

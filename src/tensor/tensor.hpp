@@ -149,12 +149,4 @@ Tensor scatter_add_rows(const Tensor& a, const std::vector<std::int32_t>& idx,
 /// Concatenate along columns; all inputs must share the row count.
 Tensor concat_cols(const std::vector<const Tensor*>& parts);
 
-/// Process-wide monotonic version of all trainable parameters: bumped by
-/// every Adam::step() and load_params() call. Inference-side caches of
-/// weight-derived values (e.g. TransformerConv's per-batch edge
-/// projections) key on it so a training step or weight load can never
-/// serve stale results.
-std::uint64_t params_version();
-void bump_params_version();
-
 }  // namespace gnndse::tensor

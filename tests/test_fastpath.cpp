@@ -400,21 +400,28 @@ TEST(FastPath, WorkspaceStopsGrowingAfterWarmup) {
   }
 }
 
-TEST(FastPath, EdgeProjectionCacheInvalidatedByTraining) {
+// Inference reads the live weights: after fit, the fast path over batch
+// objects built before the update matches a fresh tape forward bit for
+// bit. Two long-lived batches: a make_batch batch, and a batch_for
+// skeleton whose row plan the DSE sweep reuses across chunks.
+TEST(FastPath, BitIdenticalToTapeAfterTraining) {
   kir::Kernel kernel = kernels::make_kernel("spmv-crs");
   SampleFactory factory;
   const auto configs = sample_configs(kernel, 8, 29);
   const auto graphs = featurize_all(factory, kernel, configs);
-  // One long-lived batch reused across a weight update — exactly the DSE
-  // skeleton situation the per-batch edge-projection cache must survive.
   gnn::GraphBatch batch = gnn::make_batch(pointers(graphs));
+  const gnn::GraphBatch* skeleton = &factory.batch_for(kernel, configs);
+  ASSERT_TRUE(skeleton->plan);
+  const gnn::RowPlan* plan = skeleton->plan.get();
 
   util::Rng rng(31);
   PredictiveModel model(tiny_options(ModelKind::kM7Full, 4), rng);
   TrainOptions to;
   to.epochs = 2;
   Trainer trainer(model, to);
-  tensor::Tensor before = trainer.predict_batch(batch);  // warms the cache
+  tensor::Tensor before = trainer.predict_batch(batch);
+  tensor::Tensor before_delta = trainer.predict_batch(*skeleton);
+  expect_bitwise(before, before_delta, "pre-training delta prediction");
 
   Dataset ds;
   ds.samples.resize(graphs.size());
@@ -426,18 +433,23 @@ TEST(FastPath, EdgeProjectionCacheInvalidatedByTraining) {
   }
   trainer.fit(ds, ds.all_indices());
 
-  // Same batch object, updated weights: the fast path must recompute the
-  // cached projections, matching a fresh tape forward bit for bit.
-  const tensor::Tensor& fast = trainer.predict_batch(batch);
+  // Same batch objects, updated weights: both must match a fresh tape
+  // forward bit for bit.
   tensor::Tape tape;
   const tensor::Tensor& ref = tape.value(model.forward(tape, batch));
+  const tensor::Tensor& fast = trainer.predict_batch(batch);
   expect_bitwise(ref, fast, "post-training prediction");
 
-  // Sanity: training actually moved the weights, so a stale cache would
+  skeleton = &factory.batch_for(kernel, configs);  // a skeleton hit
+  ASSERT_EQ(skeleton->plan.get(), plan);
+  const tensor::Tensor& delta = trainer.predict_batch(*skeleton);
+  expect_bitwise(ref, delta, "post-training delta prediction");
+
+  // Sanity: training actually moved the weights, so a stale value would
   // have been visible above.
   bool changed = false;
   for (std::int64_t i = 0; i < before.numel() && !changed; ++i)
-    changed = before.data()[i] != fast.data()[i];
+    changed = before.data()[i] != delta.data()[i];
   EXPECT_TRUE(changed);
 }
 

@@ -10,7 +10,7 @@
 #include <set>
 
 #include "kernels/kernels.hpp"
-#include "kernels/kernels_extension.hpp"
+#include "kernels/registry.hpp"
 
 namespace gnndse::graphgen {
 namespace {
@@ -72,7 +72,9 @@ TEST_P(AllKernelsGraph, HasAllFourFlows) {
 std::vector<std::string> all_names() {
   auto names = kernels::training_kernel_names();
   for (const auto& n : kernels::unseen_kernel_names()) names.push_back(n);
-  for (const auto& n : kernels::extension_kernel_names()) names.push_back(n);
+  for (const auto& n :
+       kernels::Registry::global().names(kernels::Provenance::kExtension))
+    names.push_back(n);
   return names;
 }
 

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "kernels/kernels.hpp"
-#include "kernels/kernels_extension.hpp"
+#include "kernels/registry.hpp"
 
 namespace gnndse::hlssim {
 namespace {
@@ -31,6 +31,23 @@ TEST(DesignConfig, KeyRoundTrip) {
 TEST(DesignConfig, ParseRejectsGarbage) {
   EXPECT_THROW(parse_config_key("L0:frobnicate/1/1"), std::invalid_argument);
   EXPECT_THROW(parse_config_key("nonsense"), std::invalid_argument);
+  // Segment i must be labelled L<i>: a reordered key would otherwise set
+  // the wrong loop's pragmas.
+  EXPECT_THROW(parse_config_key("L1:fg/1/1;L0:off/1/1"), std::invalid_argument);
+  EXPECT_THROW(parse_config_key("L3:fg/1/1;L2:off/1/1;L1:off/1/1;L0:off/1/1"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_config_key("Lx:off/1/1"), std::invalid_argument);
+  // Factors are whole integers >= 1.
+  EXPECT_THROW(parse_config_key("L0:off/-8/0;L1:off/1/1x"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_config_key("L0:off/1/1x"), std::invalid_argument);
+  EXPECT_THROW(parse_config_key("L0:off/0/1"), std::invalid_argument);
+  EXPECT_THROW(parse_config_key("L0:off//1"), std::invalid_argument);
+  EXPECT_THROW(parse_config_key("L0:off/ 2/1"), std::invalid_argument);
+  EXPECT_THROW(parse_config_key("L0:off/99999999999999999999/1"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_config_key("L0:off/1"), std::invalid_argument);
+  EXPECT_THROW(parse_config_key("L0:off/1/1;"), std::invalid_argument);
 }
 
 TEST(PipeModeNames, Stable) {
@@ -89,7 +106,9 @@ TEST_P(AllKernelsSim, InnermostFinePipeliningHelps) {
 std::vector<std::string> all_names() {
   auto names = kernels::training_kernel_names();
   for (const auto& n : kernels::unseen_kernel_names()) names.push_back(n);
-  for (const auto& n : kernels::extension_kernel_names()) names.push_back(n);
+  for (const auto& n :
+       kernels::Registry::global().names(kernels::Provenance::kExtension))
+    names.push_back(n);
   return names;
 }
 

@@ -7,7 +7,7 @@
 #include <map>
 
 #include "dspace/design_space.hpp"
-#include "kernels/kernels_extension.hpp"
+#include "kernels/registry.hpp"
 
 namespace gnndse::kernels {
 namespace {
@@ -63,7 +63,8 @@ TEST_P(AllKernels, AccessesReferenceExistingArrays) {
 std::vector<std::string> all_names() {
   std::vector<std::string> names = training_kernel_names();
   for (const auto& n : unseen_kernel_names()) names.push_back(n);
-  for (const auto& n : extension_kernel_names()) names.push_back(n);
+  for (const auto& n : Registry::global().names(Provenance::kExtension))
+    names.push_back(n);
   return names;
 }
 

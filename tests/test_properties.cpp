@@ -8,7 +8,6 @@
 #include "db/explorer.hpp"
 #include "hlssim/cost_model.hpp"
 #include "kernels/kernels.hpp"
-#include "kernels/kernels_extension.hpp"
 #include "model/trainer.hpp"
 #include "oracle/evaluator.hpp"
 

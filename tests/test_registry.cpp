@@ -1,5 +1,5 @@
 // kernels::Registry: provenance bookkeeping, the unified lookup that
-// make_kernel/make_extension_kernel now delegate to, near-miss suggestions
+// make_kernel now delegates to, near-miss suggestions
 // in miss errors, and file/generated registration.
 #include "kernels/registry.hpp"
 
@@ -31,8 +31,8 @@ TEST(Registry, GlobalHoldsAllCompiledKernels) {
     EXPECT_TRUE(reg.contains(n)) << n;
     EXPECT_EQ(reg.entry(n).provenance, Provenance::kBuiltin) << n;
   }
-  for (const auto& n : kernels::extension_kernel_names())
-    EXPECT_EQ(reg.entry(n).provenance, Provenance::kExtension) << n;
+  for (const auto& f : kernels::detail::extension_factories())
+    EXPECT_EQ(reg.entry(f.name).provenance, Provenance::kExtension) << f.name;
 }
 
 TEST(Registry, MakeKernelDelegatesToGlobal) {
@@ -56,7 +56,8 @@ TEST(Registry, MissSuggestsNearNames) {
 TEST(Registry, MissStillThrowsInvalidArgument) {
   EXPECT_THROW(kernels::make_kernel("definitely-not-a-kernel"),
                std::invalid_argument);
-  EXPECT_THROW(kernels::make_extension_kernel("aes"), std::invalid_argument);
+  EXPECT_THROW(Registry::global().entry("definitely-not-a-kernel"),
+               std::invalid_argument);
 }
 
 TEST(Registry, FileKernelsCarryTheirPath) {

@@ -127,6 +127,17 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
   EXPECT_THROW(serve::parse_request("{\"kind\":\"predict\",\"kernel\":" + kj +
                                     ",\"client\":\"../escape\"}"),
                std::runtime_error);
+  // Mislabelled segments and malformed factors in an otherwise
+  // well-sized config key.
+  const std::string neutral = hlssim::DesignConfig::neutral(k).key();
+  for (const char* seg : {"L9:off/1/1", "L0:off/-8/0", "L0:off/1/1x"}) {
+    std::string bad = neutral;
+    bad.replace(0, std::string("L0:off/1/1").size(), seg);
+    EXPECT_THROW(serve::parse_request("{\"kind\":\"predict\",\"kernel\":" +
+                                      kj + ",\"config\":\"" + bad + "\"}"),
+                 std::runtime_error)
+        << bad;
+  }
   EXPECT_THROW(serve::parse_request("{\"kind\":\"poll\"}"), std::runtime_error);
   EXPECT_THROW(serve::parse_request("[1,2]"), std::runtime_error);
   EXPECT_THROW(serve::parse_request("{\"kind\":\"admin\",\"op\":\"rm-rf\"}"),
