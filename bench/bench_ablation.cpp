@@ -107,7 +107,7 @@ int main() {
   dse::TrainedModels models(database, kernels, factory, po,
                             bench::bundle_cache_prefix());
   dse::ModelDse model_dse(models.bundle(), models.normalizer(), factory);
-  kir::Kernel mvt = kernels::make_kernel("mvt");
+  kir::Kernel mvt = kernels::Registry::global().get("mvt");
   dse::DseOptions dopts;
   dopts.max_exhaustive = 1000;  // force the heuristic path
   dopts.time_limit_seconds = util::by_scale(3.0, 15.0, 60.0);

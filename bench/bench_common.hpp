@@ -14,6 +14,7 @@
 #include "dse/pipeline.hpp"
 #include "oracle/stack.hpp"
 #include "kernels/kernels.hpp"
+#include "kernels/registry.hpp"
 #include "obs/report.hpp"
 #include "util/cpu.hpp"
 #include "util/env.hpp"

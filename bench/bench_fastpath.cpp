@@ -50,7 +50,7 @@ int main() {
   model::Trainer* trainer = models.bundle().regression_main;
 
   // One chunk-shaped batch of featurized mvt configs.
-  const kir::Kernel mvt = kernels::make_kernel("mvt");
+  const kir::Kernel mvt = kernels::Registry::global().get("mvt");
   const int batch = util::by_scale(256, 1024, 4096);
   const int reps = util::by_scale(3, 5, 7);
   util::Rng rng(17);
@@ -81,7 +81,7 @@ int main() {
   const std::size_t chunk = 256;
   const auto layers = static_cast<std::size_t>(po.gnn_layers);
   for (const char* name : {"mvt", "doitgen"}) {
-    const kir::Kernel k = kernels::make_kernel(name);
+    const kir::Kernel k = kernels::Registry::global().get(name);
     std::vector<hlssim::DesignConfig> configs;
     std::vector<gnn::GraphData> chunk_graphs;
     for (std::size_t i = 0; i < chunk; ++i) {

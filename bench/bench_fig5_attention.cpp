@@ -25,7 +25,7 @@ int main() {
   dse::TrainedModels models(database, kernels, factory, po,
                             bench::bundle_cache_prefix());
 
-  const kir::Kernel stencil = kernels::make_kernel("stencil");
+  const kir::Kernel stencil = kernels::Registry::global().get("stencil");
   // A mid-quality design: pipeline + moderate parallelization.
   auto best = database.best_valid("stencil");
   hlssim::DesignConfig cfg =

@@ -30,7 +30,7 @@ int main() {
 
   // All valid stencil designs in the database, as in the figure.
   model::Normalizer norm = models.normalizer();
-  const kir::Kernel stencil = kernels::make_kernel("stencil");
+  const kir::Kernel stencil = kernels::Registry::global().get("stencil");
   std::vector<gnn::GraphData> graphs;
   std::vector<float> latency_label;
   for (const auto& p : database.points()) {

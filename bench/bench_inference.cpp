@@ -19,7 +19,7 @@ struct Fixture {
   db::Database database;
   model::SampleFactory factory;
   std::unique_ptr<dse::TrainedModels> models;
-  kir::Kernel mvt = kernels::make_kernel("mvt");
+  kir::Kernel mvt = kernels::Registry::global().get("mvt");
   hlssim::DesignConfig cfg = hlssim::DesignConfig::neutral(mvt);
 
   Fixture() {

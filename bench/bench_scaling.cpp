@@ -88,7 +88,7 @@ int main() {
 
   // Batched inference: one predict_graphs call over a DSE-chunk-sized
   // multiple (the dse.cpp inner loop drives exactly this shape).
-  const kir::Kernel mvt = kernels::make_kernel("mvt");
+  const kir::Kernel mvt = kernels::Registry::global().get("mvt");
   const int batch = util::by_scale(256, 1024, 4096);
   const int reps = util::by_scale(3, 5, 7);
   util::Rng rng(17);
@@ -120,7 +120,7 @@ int main() {
   dse::DseOptions dopts;
   dopts.max_exhaustive = 8'000;
   dopts.time_limit_seconds = 1e9;  // sweep-bound, not time-bound
-  const kir::Kernel sweep_kernel = kernels::make_kernel("atax");
+  const kir::Kernel sweep_kernel = kernels::Registry::global().get("atax");
   std::vector<ScalePoint> dse_points;
   std::uint64_t dse_configs = 0;
   for (int threads : kThreadPoints) {

@@ -93,8 +93,6 @@ int main() {
   const tensor::Tensor beta = random_tensor({n, 1}, rng);
   const tensor::Tensor cat = random_tensor({n, 3 * c}, rng);
   const tensor::Tensor ek = random_tensor({e, c}, rng);
-  const tensor::Tensor s1 = random_tensor({n, 1}, rng);
-  const tensor::Tensor s2 = random_tensor({n, 1}, rng);
   const tensor::Tensor escores = random_tensor({e, 1}, rng);
   const tensor::Tensor alpha = random_tensor({e, 1}, rng);
   const tensor::Tensor w = random_tensor({c, c}, rng);
@@ -119,14 +117,12 @@ int main() {
       {"gated_mix", [&] { s.gated_mix(x, beta, cat); }},
       {"edge_attention_scores",
        [&] { s.edge_attention_scores(x, y, ek, src, dst, nullptr, 0.125f); }},
-      {"edge_pair_scores",
-       [&] { s.edge_pair_scores(s1, s2, src, dst, 0.2f); }},
       {"weighted_scatter_add",
-       [&] { s.weighted_scatter_add(alpha.data(), x, &ek, src, dst, nullptr, n); }},
+       [&] { s.weighted_scatter_add(alpha.data(), x, ek, src, dst, nullptr, n); }},
       {"segment_softmax", [&] { s.segment_softmax(escores, seg, n); }},
-      {"matmul", [&] { s.matmul(x, w); }},
+      {"matmul", [&] { s.linear(x, w, nullptr); }},
       // The TransformerConv gate: [rows,3c] x [3c,1], the n == 1 body.
-      {"matmul_gate", [&] { s.matmul(cat, wg); }},
+      {"matmul_gate", [&] { s.linear(cat, wg, nullptr); }},
   };
 
   std::vector<KernelResult> results;
@@ -155,7 +151,7 @@ int main() {
   // DSE-chunk-sized batch) per dispatch level, default thread pool.
   // ---------------------------------------------------------------------
   util::set_parallel_threads(0);
-  const kir::Kernel mvt = kernels::make_kernel("mvt");
+  const kir::Kernel mvt = kernels::Registry::global().get("mvt");
   const int batch = util::by_scale(128, 512, 2048);
   model::SampleFactory factory;
   util::Rng grng(17);

@@ -23,14 +23,19 @@ double ranking_score(const RankedDesign& d, double util_threshold) {
   return score;
 }
 
-namespace {
-
-float sigmoidf(float x) {
-  return x >= 0 ? 1.0f / (1.0f + std::exp(-x))
-                : std::exp(x) / (1.0f + std::exp(x));
+void read_prediction(const tensor::Tensor& main, const tensor::Tensor& bram,
+                     const tensor::Tensor& valid, std::int64_t row,
+                     std::array<float, model::kNumObjectives>& predicted,
+                     float& p_valid) {
+  predicted[model::kLatency] = main.at(row, 0);
+  predicted[model::kDsp] = main.at(row, 1);
+  predicted[model::kLut] = main.at(row, 2);
+  predicted[model::kFf] = main.at(row, 3);
+  predicted[model::kBram] = bram.at(row, 0);
+  const float x = valid.at(row, 0);
+  p_valid = x >= 0 ? 1.0f / (1.0f + std::exp(-x))
+                   : std::exp(x) / (1.0f + std::exp(x));
 }
-
-}  // namespace
 
 SweepEngine::SweepEngine(const ModelBundle& models,
                          model::SampleFactory& factory,
@@ -79,9 +84,6 @@ void SweepEngine::score_pending() {
       models_.regression_main, models_.regression_bram, models_.classifier};
   std::array<const tensor::Tensor*, 3> outs{};
   model::predict_batch_concurrent(heads, batch, outs);
-  const tensor::Tensor& main_pred = *outs[0];
-  const tensor::Tensor& bram_pred = *outs[1];
-  const tensor::Tensor& valid_pred = *outs[2];
   const double pred_ms = pred_timer.millis();
   obs::observe(h_pred, pred_ms);
   stats_.predict_ms += pred_ms;
@@ -92,13 +94,8 @@ void SweepEngine::score_pending() {
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     Scored sc;
     sc.d.config = std::move(pending_[i]);
-    const auto row = static_cast<std::int64_t>(i);
-    sc.d.predicted[model::kLatency] = main_pred.at(row, 0);
-    sc.d.predicted[model::kDsp] = main_pred.at(row, 1);
-    sc.d.predicted[model::kLut] = main_pred.at(row, 2);
-    sc.d.predicted[model::kFf] = main_pred.at(row, 3);
-    sc.d.predicted[model::kBram] = bram_pred.at(row, 0);
-    sc.d.p_valid = sigmoidf(valid_pred.at(row, 0));
+    read_prediction(*outs[0], *outs[1], *outs[2], static_cast<std::int64_t>(i),
+                    sc.d.predicted, sc.d.p_valid);
     if (sc.d.p_valid < 0.5f) ++pruned;
     sc.score = ranking_score(sc.d, opts_.util_threshold);
     sc.seq = num_scored_ + i;

@@ -55,6 +55,16 @@ struct RankedDesign {
 /// predicted latency target (higher = faster design).
 double ranking_score(const RankedDesign& d, double util_threshold);
 
+/// Row `row` of the three heads' outputs (ModelBundle order) as objective
+/// predictions: main's four columns, BRAM's one, and the classifier logit
+/// through a branch-stable sigmoid. The sweep and the serve daemon both
+/// read predictions through it, so a predict response holds the same bits
+/// as the sweep's ranking input.
+void read_prediction(const tensor::Tensor& main, const tensor::Tensor& bram,
+                     const tensor::Tensor& valid, std::int64_t row,
+                     std::array<float, model::kNumObjectives>& predicted,
+                     float& p_valid);
+
 /// Per-stage wall-clock breakdown of one sweep, reported on DseResult.
 struct SweepStageStats {
   double featurize_ms = 0.0;

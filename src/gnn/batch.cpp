@@ -1,7 +1,6 @@
 #include "gnn/batch.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "util/parallel.hpp"
@@ -70,26 +69,6 @@ GraphBatch make_batch_impl(std::size_t count, GetGraph&& graph_at) {
         }
       });
 
-  // Self-loop augmented lists and symmetric-normalized GCN coefficients.
-  b.src_sl = b.src;
-  b.dst_sl = b.dst;
-  for (std::int64_t i = 0; i < n_total; ++i) {
-    b.src_sl.push_back(static_cast<std::int32_t>(i));
-    b.dst_sl.push_back(static_cast<std::int32_t>(i));
-  }
-  std::vector<float> deg(static_cast<std::size_t>(n_total), 0.0f);
-  for (std::int32_t d : b.dst_sl) ++deg[static_cast<std::size_t>(d)];
-  b.gcn_coeff.resize(b.src_sl.size());
-  util::parallel_for(
-      static_cast<std::int64_t>(b.src_sl.size()), 4096,
-      [&](std::int64_t begin, std::int64_t end) {
-        for (std::int64_t k = begin; k < end; ++k) {
-          const auto ks = static_cast<std::size_t>(k);
-          const float du = deg[static_cast<std::size_t>(b.src_sl[ks])];
-          const float dv = deg[static_cast<std::size_t>(b.dst_sl[ks])];
-          b.gcn_coeff[ks] = 1.0f / std::sqrt(du * dv);
-        }
-      });
   return b;
 }
 
@@ -102,10 +81,6 @@ ConvRows GraphBatch::conv_rows() const {
   r.dst = dst;
   r.qrow = dst;
   r.edges = &e;
-  r.src_sl = src_sl;
-  r.dst_sl = dst_sl;
-  r.qrow_sl = dst_sl;
-  r.gcn_coeff = gcn_coeff.data();
   return r;
 }
 
@@ -118,10 +93,6 @@ ConvRows RowPlan::conv_rows(std::size_t l) const {
   r.qrow = lr.qrow;
   r.eid = lr.eid.data();
   r.edges = &e;
-  r.src_sl = lr.src_sl;
-  r.dst_sl = lr.dst_sl;
-  r.qrow_sl = lr.qrow_sl;
-  r.gcn_coeff = lr.gcn_coeff.data();
   r.rrow = lr.rrow.data();
   return r;
 }
@@ -183,8 +154,6 @@ std::shared_ptr<RowPlan> plan_rows(const GraphBatch& copies,
   const std::int64_t fe = copies.e.cols();
   plan->e = tensor::Tensor({static_cast<std::int64_t>(ne), fe});
   std::copy_n(copies.e.data(), plan->e.numel(), plan->e.data());
-  const float* coeff_edge = copies.gcn_coeff.data();
-  const float* coeff_self = coeff_edge + nb * static_cast<std::int64_t>(ne);
 
   // In-edges per node in ascending edge order (CSR).
   std::vector<std::int32_t> in_off(n + 1, 0), in_edges(ne);
@@ -219,8 +188,7 @@ std::shared_ptr<RowPlan> plan_rows(const GraphBatch& copies,
     LayerRows lr;
     lr.num_rows = cur.rows(nb);
     lr.rrow.resize(static_cast<std::size_t>(lr.num_rows));
-    // One output row: its node's in-edges in template order, for both edge
-    // lists (self loop last, as make_batch appends it).
+    // One output row: its node's in-edges in template order.
     auto emit = [&](std::int64_t b, std::int32_t node) {
       const std::int32_t out = cur.row(b, node);
       const std::int32_t self = prev.row(b, node);
@@ -233,15 +201,7 @@ std::shared_ptr<RowPlan> plan_rows(const GraphBatch& copies,
         lr.dst.push_back(out);
         lr.qrow.push_back(self);
         lr.eid.push_back(e);
-        lr.src_sl.push_back(from);
-        lr.dst_sl.push_back(out);
-        lr.qrow_sl.push_back(self);
-        lr.gcn_coeff.push_back(coeff_edge[e]);
       }
-      lr.src_sl.push_back(self);
-      lr.dst_sl.push_back(out);
-      lr.qrow_sl.push_back(self);
-      lr.gcn_coeff.push_back(coeff_self[node]);
     };
     for (std::size_t i = 0; i < n; ++i)
       if (cur.in[i]) lr.nodes.push_back(static_cast<std::int32_t>(i));

@@ -25,21 +25,19 @@ struct GraphData {
   tensor::Tensor aux;  // [Fa] or empty
 };
 
-/// The rows and edges one conv layer computes, as index arrays into its
-/// input rows (the previous layer's output rows) and its output rows.
+/// The rows and edges one TransformerConv layer computes, as index arrays
+/// into its input rows (the previous layer's output rows) and its output
+/// rows.
 /// Without a row plan this is the whole batch: input and output row i are
 /// batch node i, and every edge is a batch edge.
 struct ConvRows {
   std::int64_t num_rows = 0;  // output rows
-  /// TransformerConv edges: source input row, destination output row, and
-  /// the destination's own input row (its q); eid picks the edge-feature
-  /// row of `edges` (nullptr: edge i reads row i).
+  /// Edges: source input row, destination output row, and the
+  /// destination's own input row (its q); eid picks the edge-feature row
+  /// of `edges` (nullptr: edge i reads row i).
   std::span<const std::int32_t> src, dst, qrow;
   const std::int32_t* eid = nullptr;
   const tensor::Tensor* edges = nullptr;
-  /// GCN/GAT edges with one self loop per output row, in the same roles.
-  std::span<const std::int32_t> src_sl, dst_sl, qrow_sl;
-  const float* gcn_coeff = nullptr;
   /// Per output row, the input row of the same node (skip connection);
   /// nullptr: output row i reads input row i.
   const std::int32_t* rrow = nullptr;
@@ -53,8 +51,6 @@ struct LayerRows {
   std::vector<std::int32_t> nodes;
   std::int64_t num_rows = 0;
   std::vector<std::int32_t> src, dst, qrow, eid;
-  std::vector<std::int32_t> src_sl, dst_sl, qrow_sl;
-  std::vector<float> gcn_coeff;
   std::vector<std::int32_t> rrow;
   /// Batch node (b·N + n) -> its output row.
   std::vector<std::int32_t> node_row;
@@ -104,11 +100,9 @@ struct RowPlan {
 struct GraphBatch {
   tensor::Tensor x;  // [N_total, Fn]
   tensor::Tensor e;  // [E_total, Fe]
-  std::vector<std::int32_t> src, dst;          // edges (no self loops)
-  std::vector<std::int32_t> src_sl, dst_sl;    // edges + one self loop per node
-  std::vector<std::int32_t> node_graph;        // node -> graph id
-  std::vector<float> gcn_coeff;                // per src_sl edge: 1/sqrt(d_u d_v)
-  tensor::Tensor aux;                          // [B, Fa] or empty
+  std::vector<std::int32_t> src, dst;    // edges (no self loops)
+  std::vector<std::int32_t> node_graph;  // node -> graph id
+  tensor::Tensor aux;                    // [B, Fa] or empty
   std::int64_t num_nodes = 0;
   std::int64_t num_graphs = 0;
 

@@ -1,6 +1,7 @@
 #include "gnn/conv.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "tensor/init.hpp"
@@ -25,6 +26,25 @@ inline void detail_count_message_pass(std::size_t messages) {
 
 }  // namespace
 
+SelfLoopEdges self_loop_edges(const GraphBatch& b) {
+  SelfLoopEdges sl;
+  sl.src = b.src;
+  sl.dst = b.dst;
+  for (std::int64_t i = 0; i < b.num_nodes; ++i) {
+    sl.src.push_back(static_cast<std::int32_t>(i));
+    sl.dst.push_back(static_cast<std::int32_t>(i));
+  }
+  std::vector<float> deg(static_cast<std::size_t>(b.num_nodes), 0.0f);
+  for (std::int32_t d : sl.dst) ++deg[static_cast<std::size_t>(d)];
+  sl.coeff.reserve(sl.src.size());
+  for (std::size_t k = 0; k < sl.src.size(); ++k) {
+    const float du = deg[static_cast<std::size_t>(sl.src[k])];
+    const float dv = deg[static_cast<std::size_t>(sl.dst[k])];
+    sl.coeff.push_back(1.0f / std::sqrt(du * dv));
+  }
+  return sl;
+}
+
 // ---------------------------------------------------------------------------
 // GCN.
 // ---------------------------------------------------------------------------
@@ -33,25 +53,16 @@ GCNConv::GCNConv(std::int64_t in, std::int64_t out, util::Rng& rng)
     : lin_(in, out, rng) {}
 
 VarId GCNConv::forward(Tape& t, VarId x, const GraphBatch& b) {
-  detail_count_message_pass(b.src_sl.size());
+  SelfLoopEdges sl = self_loop_edges(b);
+  detail_count_message_pass(sl.src.size());
   // Aggregate with fixed symmetric-normalized coefficients over the
   // self-loop-augmented edge list, then transform.
-  VarId msg = t.gather_rows(x, b.src_sl);
-  Tensor coeff({static_cast<std::int64_t>(b.gcn_coeff.size()), 1},
-               std::vector<float>(b.gcn_coeff.begin(), b.gcn_coeff.end()));
-  VarId weighted = t.mul_colbcast(t.constant(std::move(coeff)), msg);
-  VarId agg = t.scatter_add_rows(weighted, b.dst_sl, b.num_nodes);
+  VarId msg = t.gather_rows(x, std::move(sl.src));
+  const auto n_edges = static_cast<std::int64_t>(sl.coeff.size());
+  VarId weighted =
+      t.mul_colbcast(t.constant(Tensor({n_edges, 1}, sl.coeff)), msg);
+  VarId agg = t.scatter_add_rows(weighted, std::move(sl.dst), b.num_nodes);
   return lin_.forward(t, agg);
-}
-
-const Tensor& GCNConv::forward_infer(InferenceSession& s, const Tensor& x,
-                                     const ConvRows& r) {
-  detail_count_message_pass(r.src_sl.size());
-  // Fused gather/mul_colbcast/scatter: same products, same ascending-edge
-  // accumulation, no [E, D] intermediates.
-  const Tensor& agg = s.weighted_scatter_add(r.gcn_coeff, x, nullptr, r.src_sl,
-                                             r.dst_sl, nullptr, r.num_rows);
-  return lin_.forward_infer(s, agg);
 }
 
 std::vector<tensor::Parameter*> GCNConv::params() { return lin_.params(); }
@@ -67,31 +78,18 @@ GATConv::GATConv(std::int64_t in, std::int64_t out, util::Rng& rng)
       bias_(Tensor({out})) {}
 
 VarId GATConv::forward(Tape& t, VarId x, const GraphBatch& b) {
-  detail_count_message_pass(b.src_sl.size());
+  const SelfLoopEdges sl = self_loop_edges(b);
+  detail_count_message_pass(sl.src.size());
   VarId h = lin_.forward(t, x);  // [N, out]
   VarId score_src = t.matmul(h, t.param(att_src_));  // [N, 1]
   VarId score_dst = t.matmul(h, t.param(att_dst_));  // [N, 1]
   VarId e_score =
-      t.add(t.gather_rows(score_src, b.src_sl), t.gather_rows(score_dst, b.dst_sl));
+      t.add(t.gather_rows(score_src, sl.src), t.gather_rows(score_dst, sl.dst));
   e_score = t.leaky_relu(e_score, 0.2f);
-  VarId alpha = t.segment_softmax(e_score, b.dst_sl, b.num_nodes);
-  VarId msg = t.mul_colbcast(alpha, t.gather_rows(h, b.src_sl));
-  VarId agg = t.scatter_add_rows(msg, b.dst_sl, b.num_nodes);
+  VarId alpha = t.segment_softmax(e_score, sl.dst, b.num_nodes);
+  VarId msg = t.mul_colbcast(alpha, t.gather_rows(h, sl.src));
+  VarId agg = t.scatter_add_rows(msg, sl.dst, b.num_nodes);
   return t.add_rowvec(agg, t.param(bias_));
-}
-
-const Tensor& GATConv::forward_infer(InferenceSession& s, const Tensor& x,
-                                     const ConvRows& r) {
-  detail_count_message_pass(r.src_sl.size());
-  const Tensor& h = lin_.forward_infer(s, x);
-  const Tensor& score_src = s.matmul(h, att_src_.value);
-  const Tensor& score_dst = s.matmul(h, att_dst_.value);
-  const Tensor& e_act =
-      s.edge_pair_scores(score_src, score_dst, r.src_sl, r.qrow_sl, 0.2f);
-  const Tensor& alpha = s.segment_softmax(e_act, r.dst_sl, r.num_rows);
-  const Tensor& agg = s.weighted_scatter_add(alpha.data(), h, nullptr, r.src_sl,
-                                             r.dst_sl, nullptr, r.num_rows);
-  return s.add_rowvec(agg, bias_.value);
 }
 
 std::vector<tensor::Parameter*> GATConv::params() {
@@ -120,7 +118,9 @@ TransformerConv::TransformerConv(std::int64_t in, std::int64_t out,
       gated_residual_(gated_residual) {}
 
 VarId TransformerConv::forward(Tape& t, VarId x, const GraphBatch& b) {
-  detail_count_message_pass(b.src_sl.size());
+  // Counted as src + one per node, the size GCN/GAT's self-loop lists have.
+  detail_count_message_pass(b.src.size() +
+                            static_cast<std::size_t>(b.num_nodes));
   VarId q = wq_.forward(t, x);
   VarId k = wk_.forward(t, x);
   VarId v = wv_.forward(t, x);
@@ -148,7 +148,8 @@ VarId TransformerConv::forward(Tape& t, VarId x, const GraphBatch& b) {
 const Tensor& TransformerConv::forward_infer(InferenceSession& s,
                                              const Tensor& x,
                                              const ConvRows& r) {
-  detail_count_message_pass(r.src_sl.size());
+  detail_count_message_pass(r.src.size() +
+                            static_cast<std::size_t>(r.num_rows));
   const Tensor& q = wq_.forward_infer(s, x);
   const Tensor& k = wk_.forward_infer(s, x);
   const Tensor& v = wv_.forward_infer(s, x);
@@ -161,7 +162,7 @@ const Tensor& TransformerConv::forward_infer(InferenceSession& s,
       s.edge_attention_scores(q, k, ek, r.src, r.qrow, r.eid,
                               1.0f / std::sqrt(static_cast<float>(out_dim_)));
   const Tensor& alpha = s.segment_softmax(score, r.dst, r.num_rows);
-  const Tensor& m = s.weighted_scatter_add(alpha.data(), v, &ev, r.src,
+  const Tensor& m = s.weighted_scatter_add(alpha.data(), v, ev, r.src,
                                            r.dst, r.eid, r.num_rows);
 
   const Tensor& skip = skip_.forward_infer(s, x);

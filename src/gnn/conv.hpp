@@ -1,6 +1,7 @@
 // Graph convolution layers: GCN (eq. 1), GAT (eqs. 2-3) and
 // TransformerConv with edge features and gated residual (eq. 8) — the
-// paper's M3/M4/M5 building blocks.
+// paper's M3/M4/M5 building blocks. GCN and GAT are Table 2 ablations
+// that DSE never runs, so only TransformerConv has a tape-free forward.
 #pragma once
 
 #include "gnn/batch.hpp"
@@ -11,19 +12,20 @@ namespace gnndse::gnn {
 /// Common interface so the encoder can stack any conv kind.
 class ConvLayer : public Module {
  public:
-  /// x: [N, in]; returns [N, out]. The batch supplies edge indices,
-  /// self-loop lists and edge features.
+  /// x: [N, in]; returns [N, out]. The batch supplies edge indices and
+  /// edge features.
   virtual tensor::VarId forward(tensor::Tape& t, tensor::VarId x,
                                 const GraphBatch& b) = 0;
-  /// Tape-free forward over the rows `r` selects (inference fast path):
-  /// x holds the input rows r's indices refer to, and the result has
-  /// r.num_rows rows. With b.conv_rows() it is bit-identical to forward();
-  /// with a row plan's layer, every row it computes is bit-identical to
-  /// that node's row of the full forward.
-  virtual const tensor::Tensor& forward_infer(InferenceSession& s,
-                                              const tensor::Tensor& x,
-                                              const ConvRows& r) = 0;
 };
+
+/// GCN/GAT edge lists: the batch's edges followed by one self loop per
+/// node, in node order, and per edge the symmetric normalization
+/// 1/sqrt(d_u d_v), with d counting a node's in-edges plus its self loop.
+struct SelfLoopEdges {
+  std::vector<std::int32_t> src, dst;
+  std::vector<float> coeff;
+};
+SelfLoopEdges self_loop_edges(const GraphBatch& b);
 
 /// Graph Convolutional Network layer (Kipf & Welling):
 ///   h'_i = W sum_{j in N(i) u {i}} h_j / sqrt(d_i d_j)
@@ -32,9 +34,6 @@ class GCNConv : public ConvLayer {
   GCNConv(std::int64_t in, std::int64_t out, util::Rng& rng);
   tensor::VarId forward(tensor::Tape& t, tensor::VarId x,
                         const GraphBatch& b) override;
-  const tensor::Tensor& forward_infer(InferenceSession& s,
-                                      const tensor::Tensor& x,
-                                      const ConvRows& r) override;
   std::vector<tensor::Parameter*> params() override;
 
  private:
@@ -49,9 +48,6 @@ class GATConv : public ConvLayer {
   GATConv(std::int64_t in, std::int64_t out, util::Rng& rng);
   tensor::VarId forward(tensor::Tape& t, tensor::VarId x,
                         const GraphBatch& b) override;
-  const tensor::Tensor& forward_infer(InferenceSession& s,
-                                      const tensor::Tensor& x,
-                                      const ConvRows& r) override;
   std::vector<tensor::Parameter*> params() override;
 
  private:
@@ -76,9 +72,14 @@ class TransformerConv : public ConvLayer {
                   util::Rng& rng, bool gated_residual = true);
   tensor::VarId forward(tensor::Tape& t, tensor::VarId x,
                         const GraphBatch& b) override;
+  /// Tape-free forward over the rows `r` selects (inference fast path):
+  /// x holds the input rows r's indices refer to, and the result has
+  /// r.num_rows rows. With b.conv_rows() it is bit-identical to forward();
+  /// with a row plan's layer, every row it computes is bit-identical to
+  /// that node's row of the full forward.
   const tensor::Tensor& forward_infer(InferenceSession& s,
                                       const tensor::Tensor& x,
-                                      const ConvRows& r) override;
+                                      const ConvRows& r);
   std::vector<tensor::Parameter*> params() override;
 
  private:

@@ -49,11 +49,9 @@ std::size_t InferenceSession::workspace_bytes() const {
 // Dense ops.
 // ---------------------------------------------------------------------------
 
-const Tensor& InferenceSession::matmul(const Tensor& a, const Tensor& b) {
-  // Overwrite-mode kernel: same ascending-k sums as tensor::matmul's
-  // zeroed-output + matmul_acc, minus the memset.
-  Tensor& out = next({a.rows(), b.cols()}, /*zero=*/false);
-  tensor::matmul_bias(a, b, nullptr, out);
+const Tensor& InferenceSession::copy(const Tensor& a) {
+  Tensor& out = next(a.shape(), /*zero=*/false);
+  std::copy_n(a.data(), a.numel(), out.data());
   return out;
 }
 
@@ -80,23 +78,6 @@ const Tensor& InferenceSession::add(const Tensor& a, const Tensor& b,
       const float* arp = ap + (arow ? arow[i] : i) * c;
       for (std::int64_t j = 0; j < c; ++j) op[i * c + j] = arp[j] + bp[i * c + j];
     }
-  });
-  return out;
-}
-
-const Tensor& InferenceSession::add_rowvec(const Tensor& a,
-                                           const Tensor& bias) {
-  if (bias.numel() != a.cols())
-    throw std::invalid_argument("add_rowvec: bias length != cols");
-  const std::int64_t r = a.rows(), c = a.cols();
-  Tensor& out = next(a.shape(), /*zero=*/false);
-  const float* ap = a.data();
-  const float* bp = bias.data();
-  float* op = out.data();
-  util::parallel_for(r, row_grain(c), [&](std::int64_t begin, std::int64_t end) {
-    for (std::int64_t i = begin; i < end; ++i)
-      for (std::int64_t j = 0; j < c; ++j)
-        op[i * c + j] = ap[i * c + j] + bp[j];
   });
   return out;
 }
@@ -178,18 +159,6 @@ const Tensor& map_unary(Tensor& out, const Tensor& in, F f) {
 
 }  // namespace
 
-const Tensor& InferenceSession::relu(const Tensor& a) {
-  Tensor& out = next(a.shape(), /*zero=*/false);
-  return map_unary(out, a, [](float x) { return x > 0 ? x : 0.0f; });
-}
-
-const Tensor& InferenceSession::leaky_relu(const Tensor& a,
-                                           float negative_slope) {
-  Tensor& out = next(a.shape(), /*zero=*/false);
-  const float s = negative_slope;
-  return map_unary(out, a, [s](float x) { return x > 0 ? x : s * x; });
-}
-
 const Tensor& InferenceSession::elu(const Tensor& a, float alpha) {
   Tensor& out = next(a.shape(), /*zero=*/false);
   return map_unary(out, a, [alpha](float x) {
@@ -208,11 +177,6 @@ const Tensor& InferenceSession::sigmoid(const Tensor& a) {
     const float e = std::exp(x);
     return e / (1.0f + e);
   });
-}
-
-const Tensor& InferenceSession::tanh(const Tensor& a) {
-  Tensor& out = next(a.shape(), /*zero=*/false);
-  return map_unary(out, a, [](float x) { return std::tanh(x); });
 }
 
 // ---------------------------------------------------------------------------
@@ -341,37 +305,17 @@ const Tensor& InferenceSession::edge_attention_scores(
   return out;
 }
 
-const Tensor& InferenceSession::edge_pair_scores(
-    const Tensor& a, const Tensor& b, std::span<const std::int32_t> src,
-    std::span<const std::int32_t> dst, float negative_slope) {
-  if (a.cols() != 1 || b.cols() != 1)
-    throw std::invalid_argument("edge_pair_scores: inputs must be [N,1]");
-  const std::int64_t e = static_cast<std::int64_t>(src.size());
-  Tensor& out = next({e, 1}, /*zero=*/false);
-  const float* ap = a.data();
-  const float* bp = b.data();
-  const float s = negative_slope;
-  float* op = out.data();
-  static obs::SimdDispatch dispatch("edge_pair_scores");
-  const util::SimdLevel lvl = dispatch.level();
-  util::parallel_for(e, kElemGrain, [&](std::int64_t begin, std::int64_t end) {
-    simd::edge_pair_scores_range(lvl, ap, bp, src.data(), dst.data(), s, op,
-                                 begin, end);
-  });
-  return out;
-}
-
 const Tensor& InferenceSession::weighted_scatter_add(
-    const float* alpha, const Tensor& v, const Tensor* ev,
+    const float* alpha, const Tensor& v, const Tensor& ev,
     std::span<const std::int32_t> src, std::span<const std::int32_t> dst,
     const std::int32_t* eid, std::int64_t num_rows) {
   const std::int64_t c = v.cols();
-  if (ev && (ev->cols() != c ||
-             (!eid && ev->rows() != static_cast<std::int64_t>(src.size()))))
+  if (ev.cols() != c ||
+      (!eid && ev.rows() != static_cast<std::int64_t>(src.size())))
     throw std::invalid_argument("weighted_scatter_add: ev shape mismatch");
   Tensor& out = next({num_rows, c}, /*zero=*/true);
   const float* vp = v.data();
-  const float* ep = ev ? ev->data() : nullptr;
+  const float* ep = ev.data();
   float* op = out.data();
   // Serial over edges on purpose: colliding destinations accumulate in
   // ascending edge order, which defines the result bits (same as

@@ -3,17 +3,18 @@
 //
 // The autodiff Tape allocates a node (value tensor + backward closure) per
 // op, which the DSE hot loop never uses — prediction only needs the forward
-// values. InferenceSession mirrors every Tape forward computation
-// bit-for-bit (same kernels, same float-accumulation order, same
-// std::exp/std::tanh calls) but writes results into a pool of workspace
-// tensors that is reused across forward passes: after a warmup pass per
-// batch shape, steady-state forwards perform zero heap allocation.
+// values. InferenceSession mirrors the Tape forward ops of the layers DSE
+// runs (Linear, Mlp, TransformerConv, the pools) bit-for-bit (same
+// kernels, same float-accumulation order, same std::exp calls) but writes
+// results into a pool of workspace tensors that is reused across forward
+// passes: after a warmup pass per batch shape, steady-state forwards
+// perform zero heap allocation.
 //
 // Threading: elementwise and per-row ops (disjoint output writes) fan out
 // over util::parallel_for; order-sensitive reductions (scatter_add_rows,
 // segment_softmax) stay serial because their float accumulation order
-// defines the result bits. matmul delegates to tensor::matmul_acc, which is
-// already parallel and bit-stable. A session is single-consumer: one
+// defines the result bits. linear delegates to tensor::matmul_bias, which
+// is already parallel and bit-stable. A session is single-consumer: one
 // forward pass at a time per session object (the ops inside parallelize).
 //
 // Slot references returned by ops stay valid until the next begin() —
@@ -40,9 +41,10 @@ class InferenceSession {
   /// by ops of the previous pass.
   void begin() { cursor_ = 0; }
 
+  /// The values of `a` (a tape result, say) copied into the workspace.
+  const tensor::Tensor& copy(const tensor::Tensor& a);
+
   // Dense ops (forward halves of the Tape ops, bit-identical).
-  const tensor::Tensor& matmul(const tensor::Tensor& a,
-                               const tensor::Tensor& b);
   /// matmul + add_rowvec fused into one sweep (tensor::matmul_bias); pass
   /// bias = nullptr for a plain product. Bit-identical to the two-op
   /// sequence the tape records.
@@ -52,18 +54,12 @@ class InferenceSession {
   /// out[i] = a[arow[i]] + b[i] (arow = nullptr: a[i]); out has b's shape.
   const tensor::Tensor& add(const tensor::Tensor& a, const tensor::Tensor& b,
                             const std::int32_t* arow = nullptr);
-  const tensor::Tensor& add_rowvec(const tensor::Tensor& a,
-                                   const tensor::Tensor& bias);
   const tensor::Tensor& mul_colbcast(const tensor::Tensor& col,
                                      const tensor::Tensor& x);
 
   // Nonlinearities.
-  const tensor::Tensor& relu(const tensor::Tensor& a);
-  const tensor::Tensor& leaky_relu(const tensor::Tensor& a,
-                                   float negative_slope = 0.2f);
   const tensor::Tensor& elu(const tensor::Tensor& a, float alpha = 1.0f);
   const tensor::Tensor& sigmoid(const tensor::Tensor& a);
-  const tensor::Tensor& tanh(const tensor::Tensor& a);
 
   // Graph primitives.
   const tensor::Tensor& scatter_add_rows(const tensor::Tensor& a,
@@ -99,24 +95,14 @@ class InferenceSession {
       const tensor::Tensor& ek, std::span<const std::int32_t> src,
       std::span<const std::int32_t> qrow, const std::int32_t* eid, float c);
 
-  /// GAT pairwise logits, fusing
-  ///   leaky_relu(add(gather(a,src), gather(b,dst))):
-  ///   out[e] = lrelu(a[src[e]][0] + b[dst[e]][0])   (a, b are [N,1])
-  const tensor::Tensor& edge_pair_scores(const tensor::Tensor& a,
-                                         const tensor::Tensor& b,
-                                         std::span<const std::int32_t> src,
-                                         std::span<const std::int32_t> dst,
-                                         float negative_slope);
-
-  /// Weighted message aggregation, fusing
+  /// TransformerConv message aggregation, fusing
   ///   scatter_add_rows(mul_colbcast(alpha, add(gather(v,src), ev)), dst):
   ///   out[dst[e]][:] += alpha[e] * (v[src[e]][:] + ev[eid[e]][:])
   /// in ascending e (the scatter's accumulation-order contract). `alpha`
-  /// points at E coefficients (a [E,1] tensor's data or gcn_coeff); pass
-  /// ev = nullptr to drop the edge term (GCN/GAT messages); eid = nullptr
-  /// reads ev row e.
+  /// points at E coefficients (a [E,1] tensor's data); eid = nullptr reads
+  /// ev row e.
   const tensor::Tensor& weighted_scatter_add(
-      const float* alpha, const tensor::Tensor& v, const tensor::Tensor* ev,
+      const float* alpha, const tensor::Tensor& v, const tensor::Tensor& ev,
       std::span<const std::int32_t> src, std::span<const std::int32_t> dst,
       const std::int32_t* eid, std::int64_t num_rows);
 

@@ -62,17 +62,6 @@ void edge_attention_scores_scalar(const float* qp, const float* kp,
   }
 }
 
-void edge_pair_scores_scalar(const float* ap, const float* bp,
-                             const std::int32_t* src, const std::int32_t* dst,
-                             float s, float* op, std::int64_t begin,
-                             std::int64_t end) {
-  for (std::int64_t i = begin; i < end; ++i) {
-    const float x = ap[src[static_cast<std::size_t>(i)]] +
-                    bp[dst[static_cast<std::size_t>(i)]];
-    op[i] = x > 0 ? x : s * x;
-  }
-}
-
 void weighted_scatter_add_scalar(const float* alpha, const float* vp,
                                  const float* ep, const std::int32_t* src,
                                  const std::int32_t* dst,
@@ -82,12 +71,8 @@ void weighted_scatter_add_scalar(const float* alpha, const float* vp,
     const float s = alpha[i];
     const float* vrow = vp + static_cast<std::int64_t>(src[i]) * c;
     float* drow = op + static_cast<std::int64_t>(dst[i]) * c;
-    if (ep) {
-      const float* erow = ep + (eid ? eid[i] : i) * c;
-      for (std::int64_t j = 0; j < c; ++j) drow[j] += s * (vrow[j] + erow[j]);
-    } else {
-      for (std::int64_t j = 0; j < c; ++j) drow[j] += s * vrow[j];
-    }
+    const float* erow = ep + (eid ? eid[i] : i) * c;
+    for (std::int64_t j = 0; j < c; ++j) drow[j] += s * (vrow[j] + erow[j]);
   }
 }
 
@@ -203,28 +188,6 @@ __attribute__((target("avx2"))) void edge_attention_scores_avx2(
                                end);
 }
 
-__attribute__((target("avx2"))) void edge_pair_scores_avx2(
-    const float* ap, const float* bp, const std::int32_t* src,
-    const std::int32_t* dst, float s, float* op, std::int64_t begin,
-    std::int64_t end) {
-  std::int64_t i = begin;
-  const __m256 sv = _mm256_set1_ps(s);
-  const __m256 zero = _mm256_setzero_ps();
-  for (; i + 8 <= end; i += 8) {
-    const __m256i is =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    const __m256i id =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256 x = _mm256_add_ps(_mm256_i32gather_ps(ap, is, 4),
-                                   _mm256_i32gather_ps(bp, id, 4));
-    // x > 0 ? x : s*x — blend keeps the scalar branch's single rounding on
-    // the negative path (and its NaN behaviour: NaN > 0 is false).
-    const __m256 pos = _mm256_cmp_ps(x, zero, _CMP_GT_OQ);
-    _mm256_storeu_ps(op + i, _mm256_blendv_ps(_mm256_mul_ps(sv, x), x, pos));
-  }
-  edge_pair_scores_scalar(ap, bp, src, dst, s, op, i, end);
-}
-
 __attribute__((target("avx2"))) void weighted_scatter_add_avx2(
     const float* alpha, const float* vp, const float* ep,
     const std::int32_t* src, const std::int32_t* dst, const std::int32_t* eid,
@@ -236,23 +199,15 @@ __attribute__((target("avx2"))) void weighted_scatter_add_avx2(
     const __m256 sv = _mm256_set1_ps(s);
     const float* vrow = vp + static_cast<std::int64_t>(src[i]) * c;
     float* drow = op + static_cast<std::int64_t>(dst[i]) * c;
+    const float* erow = ep + (eid ? eid[i] : i) * c;
     std::int64_t j = 0;
-    if (ep) {
-      const float* erow = ep + (eid ? eid[i] : i) * c;
-      for (; j + 8 <= c; j += 8) {
-        const __m256 t = _mm256_mul_ps(
-            sv, _mm256_add_ps(_mm256_loadu_ps(vrow + j),
-                              _mm256_loadu_ps(erow + j)));
-        _mm256_storeu_ps(drow + j, _mm256_add_ps(_mm256_loadu_ps(drow + j), t));
-      }
-      for (; j < c; ++j) drow[j] += s * (vrow[j] + erow[j]);
-    } else {
-      for (; j + 8 <= c; j += 8) {
-        const __m256 t = _mm256_mul_ps(sv, _mm256_loadu_ps(vrow + j));
-        _mm256_storeu_ps(drow + j, _mm256_add_ps(_mm256_loadu_ps(drow + j), t));
-      }
-      for (; j < c; ++j) drow[j] += s * vrow[j];
+    for (; j + 8 <= c; j += 8) {
+      const __m256 t = _mm256_mul_ps(
+          sv, _mm256_add_ps(_mm256_loadu_ps(vrow + j),
+                            _mm256_loadu_ps(erow + j)));
+      _mm256_storeu_ps(drow + j, _mm256_add_ps(_mm256_loadu_ps(drow + j), t));
     }
+    for (; j < c; ++j) drow[j] += s * (vrow[j] + erow[j]);
   }
 }
 
@@ -286,23 +241,15 @@ __attribute__((target("avx512f"))) void weighted_scatter_add_avx512(
     const __m512 sv = _mm512_set1_ps(s);
     const float* vrow = vp + static_cast<std::int64_t>(src[i]) * c;
     float* drow = op + static_cast<std::int64_t>(dst[i]) * c;
+    const float* erow = ep + (eid ? eid[i] : i) * c;
     std::int64_t j = 0;
-    if (ep) {
-      const float* erow = ep + (eid ? eid[i] : i) * c;
-      for (; j + 16 <= c; j += 16) {
-        const __m512 t = _mm512_mul_ps(
-            sv, _mm512_add_ps(_mm512_loadu_ps(vrow + j),
-                              _mm512_loadu_ps(erow + j)));
-        _mm512_storeu_ps(drow + j, _mm512_add_ps(_mm512_loadu_ps(drow + j), t));
-      }
-      for (; j < c; ++j) drow[j] += s * (vrow[j] + erow[j]);
-    } else {
-      for (; j + 16 <= c; j += 16) {
-        const __m512 t = _mm512_mul_ps(sv, _mm512_loadu_ps(vrow + j));
-        _mm512_storeu_ps(drow + j, _mm512_add_ps(_mm512_loadu_ps(drow + j), t));
-      }
-      for (; j < c; ++j) drow[j] += s * vrow[j];
+    for (; j + 16 <= c; j += 16) {
+      const __m512 t = _mm512_mul_ps(
+          sv, _mm512_add_ps(_mm512_loadu_ps(vrow + j),
+                            _mm512_loadu_ps(erow + j)));
+      _mm512_storeu_ps(drow + j, _mm512_add_ps(_mm512_loadu_ps(drow + j), t));
     }
+    for (; j < c; ++j) drow[j] += s * (vrow[j] + erow[j]);
   }
 }
 
@@ -404,22 +351,6 @@ void edge_attention_scores_range(SimdLevel level, const float* qp,
 #endif
   edge_attention_scores_scalar(qp, kp, ep, src, qrow, eid, d, scale, op, begin,
                                end);
-}
-
-void edge_pair_scores_range(SimdLevel level, const float* ap, const float* bp,
-                            const std::int32_t* src, const std::int32_t* dst,
-                            float negative_slope, float* op,
-                            std::int64_t begin, std::int64_t end) {
-#ifdef GNNDSE_X86
-  // The avx512 level reuses the AVX2 body: [E,1] score columns are too
-  // narrow for 16-lane gathers to pay off.
-  if (level != SimdLevel::kScalar)
-    return edge_pair_scores_avx2(ap, bp, src, dst, negative_slope, op, begin,
-                                 end);
-#else
-  (void)level;
-#endif
-  edge_pair_scores_scalar(ap, bp, src, dst, negative_slope, op, begin, end);
 }
 
 void weighted_scatter_add_edges(SimdLevel level, const float* alpha,

@@ -23,10 +23,10 @@
 // per op call (obs/simd_counters.hpp) and passed into every chunk.
 //
 // residual_concat, gated_mix and weighted_scatter_add have AVX-512 bodies
-// (wide contiguous column sweeps). edge_attention_scores, edge_pair_scores
-// and segment_softmax_normalize run their AVX2 body at the avx512 level:
-// they are bound by per-edge row loads or gathers, which 16 lanes do not
-// speed up (docs/performance.md has the measurements).
+// (wide contiguous column sweeps). edge_attention_scores and
+// segment_softmax_normalize run their AVX2 body at the avx512 level: they
+// are bound by per-edge row loads or gathers, which 16 lanes do not speed
+// up (docs/performance.md has the measurements).
 #pragma once
 
 #include <cstdint>
@@ -61,17 +61,10 @@ void edge_attention_scores_range(SimdLevel level, const float* qp,
                                  float scale, float* op, std::int64_t begin,
                                  std::int64_t end);
 
-/// op[e] = lrelu(ap[src[e]] + bp[dst[e]]) for edges [begin, end).
-void edge_pair_scores_range(SimdLevel level, const float* ap, const float* bp,
-                            const std::int32_t* src, const std::int32_t* dst,
-                            float negative_slope, float* op,
-                            std::int64_t begin, std::int64_t end);
-
-/// op[dst[e]*c + j] += alpha[e] * (vp[src[e]*c + j] (+ ep[x*c + j]))
+/// op[dst[e]*c + j] += alpha[e] * (vp[src[e]*c + j] + ep[x*c + j])
 /// serially in ascending e over ALL edges [0, num_edges) — colliding
 /// destinations accumulate in edge order, which defines the result bits.
-/// Pass ep = nullptr to drop the edge term; x = eid[e] (eid = nullptr:
-/// x = e).
+/// x = eid[e] (eid = nullptr: x = e).
 void weighted_scatter_add_edges(SimdLevel level, const float* alpha,
                                 const float* vp, const float* ep,
                                 const std::int32_t* src,

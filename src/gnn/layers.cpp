@@ -30,46 +30,7 @@ std::vector<tensor::Parameter*> Linear::params() {
   return {&w_};
 }
 
-VarId activate(Tape& t, VarId x, Activation a) {
-  switch (a) {
-    case Activation::kNone:
-      return x;
-    case Activation::kRelu:
-      return t.relu(x);
-    case Activation::kElu:
-      return t.elu(x);
-    case Activation::kLeakyRelu:
-      return t.leaky_relu(x);
-    case Activation::kSigmoid:
-      return t.sigmoid(x);
-    case Activation::kTanh:
-      return t.tanh(x);
-  }
-  throw std::logic_error("unknown activation");
-}
-
-const tensor::Tensor& activate_infer(InferenceSession& s,
-                                     const tensor::Tensor& x, Activation a) {
-  switch (a) {
-    case Activation::kNone:
-      return x;
-    case Activation::kRelu:
-      return s.relu(x);
-    case Activation::kElu:
-      return s.elu(x);
-    case Activation::kLeakyRelu:
-      return s.leaky_relu(x);
-    case Activation::kSigmoid:
-      return s.sigmoid(x);
-    case Activation::kTanh:
-      return s.tanh(x);
-  }
-  throw std::logic_error("unknown activation");
-}
-
-Mlp::Mlp(const std::vector<std::int64_t>& dims, util::Rng& rng,
-         Activation hidden, Activation output)
-    : hidden_(hidden), output_(output) {
+Mlp::Mlp(const std::vector<std::int64_t>& dims, util::Rng& rng) {
   if (dims.size() < 2) throw std::invalid_argument("Mlp: need >= 2 dims");
   layers_.reserve(dims.size() - 1);
   for (std::size_t i = 0; i + 1 < dims.size(); ++i)
@@ -78,9 +39,8 @@ Mlp::Mlp(const std::vector<std::int64_t>& dims, util::Rng& rng,
 
 VarId Mlp::forward(Tape& t, VarId x) {
   for (std::size_t i = 0; i < layers_.size(); ++i) {
+    if (i > 0) x = t.elu(x);
     x = layers_[i].forward(t, x);
-    const bool last = (i + 1 == layers_.size());
-    x = activate(t, x, last ? output_ : hidden_);
   }
   return x;
 }
@@ -89,9 +49,8 @@ const tensor::Tensor& Mlp::forward_infer(InferenceSession& s,
                                          const tensor::Tensor& x) {
   const tensor::Tensor* h = &x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
+    if (i > 0) h = &s.elu(*h);
     h = &layers_[i].forward_infer(s, *h);
-    const bool last = (i + 1 == layers_.size());
-    h = &activate_infer(s, *h, last ? output_ : hidden_);
   }
   return *h;
 }

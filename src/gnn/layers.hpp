@@ -39,16 +39,12 @@ class Linear : public Module {
   bool has_bias_;
 };
 
-enum class Activation { kNone, kRelu, kElu, kLeakyRelu, kSigmoid, kTanh };
-
-/// Multi-layer perceptron: Linear layers with a fixed hidden activation and
-/// an optional output activation (paper: 4 MLP prediction layers, §5.1).
+/// Multi-layer perceptron: Linear layers with ELU between them and no
+/// output activation (paper: 4 MLP prediction layers, §5.1).
 class Mlp : public Module {
  public:
   /// dims = {in, h1, ..., out}.
-  Mlp(const std::vector<std::int64_t>& dims, util::Rng& rng,
-      Activation hidden = Activation::kElu,
-      Activation output = Activation::kNone);
+  Mlp(const std::vector<std::int64_t>& dims, util::Rng& rng);
 
   tensor::VarId forward(tensor::Tape& t, tensor::VarId x);
   const tensor::Tensor& forward_infer(InferenceSession& s,
@@ -57,14 +53,6 @@ class Mlp : public Module {
 
  private:
   std::vector<Linear> layers_;
-  Activation hidden_, output_;
 };
-
-/// Applies an activation on the tape.
-tensor::VarId activate(tensor::Tape& t, tensor::VarId x, Activation a);
-
-/// Tape-free activation; kNone returns `x` itself.
-const tensor::Tensor& activate_infer(InferenceSession& s,
-                                     const tensor::Tensor& x, Activation a);
 
 }  // namespace gnndse::gnn

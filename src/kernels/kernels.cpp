@@ -541,19 +541,17 @@ const std::vector<NamedFactory>& builtin_factories() {
 
 }  // namespace detail
 
-kir::Kernel make_kernel(const std::string& name) {
-  return Registry::global().get(name);
-}
-
 std::vector<kir::Kernel> make_training_kernels() {
+  const Registry& reg = Registry::global();
   std::vector<kir::Kernel> out;
-  for (const auto& n : training_kernel_names()) out.push_back(make_kernel(n));
+  for (const auto& n : training_kernel_names()) out.push_back(reg.get(n));
   return out;
 }
 
 std::vector<kir::Kernel> make_unseen_kernels() {
+  const Registry& reg = Registry::global();
   std::vector<kir::Kernel> out;
-  for (const auto& n : unseen_kernel_names()) out.push_back(make_kernel(n));
+  for (const auto& n : unseen_kernel_names()) out.push_back(reg.get(n));
   return out;
 }
 

@@ -25,12 +25,6 @@ const std::vector<std::string>& training_kernel_names();
 /// Names of the four unseen kernels (Table 3 order).
 const std::vector<std::string>& unseen_kernel_names();
 
-/// Builds a kernel by name. Thin wrapper over Registry::global().get()
-/// (kernels/registry.hpp), so besides the compiled-in suites it also finds
-/// kernels registered from files or the generator; unknown names throw
-/// std::invalid_argument listing near-miss candidates.
-kir::Kernel make_kernel(const std::string& name);
-
 /// All training kernels, in Table 1 order.
 std::vector<kir::Kernel> make_training_kernels();
 

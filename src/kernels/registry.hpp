@@ -43,7 +43,7 @@ class Registry {
   Registry() = default;
 
   /// The process-wide registry, pre-seeded with the 13 builtin and 6
-  /// extension kernels. make_kernel() delegates here.
+  /// extension kernels.
   static Registry& global();
 
   /// Registers (or replaces, same name) a validated kernel.

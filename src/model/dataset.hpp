@@ -59,10 +59,10 @@ struct Sample {
 ///    `gnn.template_bytes` gauge.
 ///  * batch skeleton — the assembled GraphBatch for B copies of the
 ///    template graph and its row plan, kept per (kernel, digest, B) in a
-///    small MRU list since topology (src_sl/dst_sl/gcn_coeff/node_graph/
-///    node_offset) is identical across configurations. batch_for() reduces per-config
-///    featurization to rewriting pragma feature slots inside a cached
-///    skeleton. Telemetry: `gnn.batch_skeleton_hits` /
+///    small MRU list since topology (src/dst/node_graph/node_offset) and
+///    edge features are identical across configurations. batch_for()
+///    reduces per-config featurization to rewriting pragma feature slots
+///    inside a cached skeleton. Telemetry: `gnn.batch_skeleton_hits` /
 ///    `gnn.batch_skeleton_misses`.
 ///
 /// Thread-safe for featurize()/make()/space()/graph() (mutex-guarded map

@@ -114,9 +114,17 @@ VarId PredictiveModel::forward(Tape& t, const gnn::GraphBatch& b) {
 
 const tensor::Tensor& PredictiveModel::forward_infer(
     gnn::InferenceSession& s, const gnn::GraphBatch& b) {
+  s.begin();
+  if (opts_.kind == ModelKind::kM3Gcn || opts_.kind == ModelKind::kM4Gat) {
+    // Table 2 ablations that DSE never runs: no tape-free layers, so the
+    // tape forward runs and its results move into the workspace.
+    Tape t;
+    const VarId out = forward(t, b);
+    last_embedding_infer_ = &s.copy(t.value(last_embedding_));
+    return s.copy(t.value(out));
+  }
   static obs::Counter& c_fast = obs::counter("gnn.fastpath_forwards");
   obs::add(c_fast);
-  s.begin();
   switch (opts_.kind) {
     case ModelKind::kM1MlpPragma: {
       if (b.aux.numel() == 0)
@@ -153,7 +161,8 @@ const tensor::Tensor& PredictiveModel::forward_infer(
     obs::ScopedSpan span("gnn.fastpath.convs");
     for (std::size_t l = 0; l < convs_.size(); ++l) {
       const gnn::ConvRows r = plan ? plan->conv_rows(l) : b.conv_rows();
-      hcur = &s.elu(convs_[l]->forward_infer(s, *hcur, r));
+      auto& conv = static_cast<gnn::TransformerConv&>(*convs_[l]);
+      hcur = &s.elu(conv.forward_infer(s, *hcur, r));
       layer_outputs.push_back(hcur);
       if (plan) node_rows.push_back(plan->layer(l).node_row.data());
       rows += r.num_rows;

@@ -49,9 +49,10 @@ class Trainer {
   /// training loss of the final epoch.
   float fit(const Dataset& ds, const std::vector<std::size_t>& train_idx);
 
-  /// Raw model outputs, [n, out_dim] (logits for classification). Both
-  /// overloads run the tape-free fast path (bit-identical to the tape;
-  /// enforced by tests/test_fastpath.cpp) in kChunk-sized batches.
+  /// Raw model outputs, [n, out_dim] (logits for classification), in
+  /// kChunk-sized batches through PredictiveModel::forward_infer: the
+  /// tape-free fast path, or the tape for M3/M4. Bit-identical to
+  /// predict_graphs_tape either way (enforced by tests/test_fastpath.cpp).
   tensor::Tensor predict(const Dataset& ds,
                          const std::vector<std::size_t>& idx);
   tensor::Tensor predict_graphs(

@@ -10,15 +10,15 @@ namespace gnndse::obs {
 
 namespace {
 
-using jsonu::append_escaped;
 using jsonu::append_number;
+using jsonu::quoted;
 
 /// One metadata event ("ph":"M") naming a process or thread row.
 void append_metadata(std::ostringstream& os, const char* what,
                      std::int64_t tid, const std::string& name) {
   os << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << tid << ",\"name\":\"" << what
      << "\",\"args\":{\"name\":";
-  append_escaped(os, name);
+  os << quoted(name);
   os << "}}";
 }
 
@@ -28,7 +28,7 @@ std::string chrome_trace_json(const std::string& process_name) {
   std::ostringstream os;
   os.precision(9);
   os << "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"tool\":";
-  append_escaped(os, process_name);
+  os << quoted(process_name);
   os << ",\"trace_epoch_unix_us\":" << trace_epoch_unix_us()
      << ",\"spans_dropped\":" << trace_spans_dropped()
      << "},\"traceEvents\":[";
@@ -41,7 +41,7 @@ std::string chrome_trace_json(const std::string& process_name) {
 
   for (const SpanRecord& s : trace_snapshot()) {
     os << ",{\"ph\":\"X\",\"pid\":1,\"tid\":" << s.tid << ",\"name\":";
-    append_escaped(os, s.name);
+    os << quoted(s.name);
     os << ",\"cat\":\"gnndse\",\"ts\":" << s.start_unix_us << ",\"dur\":";
     // Complete events carry duration in microseconds. Spans still open at
     // export time (only possible outside ReportSession, which closes the
@@ -56,7 +56,7 @@ std::string chrome_trace_json(const std::string& process_name) {
     for (const auto& [k, v] : s.counters) {
       if (!first) os << ',';
       first = false;
-      append_escaped(os, k);
+      os << quoted(k);
       os << ':';
       append_number(os, v);
     }

@@ -12,8 +12,8 @@ namespace gnndse::obs {
 
 namespace {
 
-using jsonu::append_escaped;
 using jsonu::append_number;
+using jsonu::quoted;
 
 std::int64_t unix_millis() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -112,7 +112,7 @@ void HeartbeatSampler::write_sample() {
   for (const auto& c : counters) {
     if (!first) os << ',';
     first = false;
-    append_escaped(os, c.name);
+    os << quoted(c.name);
     os << ':' << c.value;
   }
   os << "},\"gauges\":{";
@@ -120,7 +120,7 @@ void HeartbeatSampler::write_sample() {
   for (const auto& g : gauges) {
     if (!first) os << ',';
     first = false;
-    append_escaped(os, g.name);
+    os << quoted(g.name);
     os << ':';
     append_number(os, g.value);
   }

@@ -14,15 +14,15 @@ namespace gnndse::obs {
 
 namespace {
 
-using jsonu::append_escaped;
 using jsonu::append_number;
+using jsonu::quoted;
 
 void append_span(std::ostringstream& os, const std::vector<SpanRecord>& spans,
                  const std::vector<std::vector<std::int64_t>>& children,
                  std::int64_t id) {
   const SpanRecord& s = spans[static_cast<std::size_t>(id)];
   os << "{\"name\":";
-  append_escaped(os, s.name);
+  os << quoted(s.name);
   os << ",\"tid\":" << s.tid << ",\"start_ms\":";
   append_number(os, s.start_ms);
   os << ",\"duration_ms\":";
@@ -34,7 +34,7 @@ void append_span(std::ostringstream& os, const std::vector<SpanRecord>& spans,
     for (const auto& [k, v] : s.counters) {
       if (!first) os << ',';
       first = false;
-      append_escaped(os, k);
+      os << quoted(k);
       os << ':';
       append_number(os, v);
     }
@@ -78,7 +78,7 @@ std::string report_json(const std::string& tool, double elapsed_seconds) {
   // v2: spans carry "tid" (trace-local thread id) so report consumers can
   // distinguish pool-side work from the submitting thread.
   os << "{\"schema_version\":2,\"tool\":";
-  append_escaped(os, tool);
+  os << quoted(tool);
   os << ",\"elapsed_seconds\":";
   append_number(os, elapsed_seconds);
 
@@ -87,7 +87,7 @@ std::string report_json(const std::string& tool, double elapsed_seconds) {
   for (const auto& c : counters_snapshot()) {
     if (!first) os << ',';
     first = false;
-    append_escaped(os, c.name);
+    os << quoted(c.name);
     os << ':' << c.value;
   }
   os << "},\"gauges\":{";
@@ -95,7 +95,7 @@ std::string report_json(const std::string& tool, double elapsed_seconds) {
   for (const auto& g : gauges_snapshot()) {
     if (!first) os << ',';
     first = false;
-    append_escaped(os, g.name);
+    os << quoted(g.name);
     os << ':';
     append_number(os, g.value);
   }
@@ -104,7 +104,7 @@ std::string report_json(const std::string& tool, double elapsed_seconds) {
   for (const auto& h : histograms_snapshot()) {
     if (!first) os << ',';
     first = false;
-    append_escaped(os, h.name);
+    os << quoted(h.name);
     os << ":{\"count\":" << h.count << ",\"sum_ms\":";
     append_number(os, h.sum);
     os << ",\"min_ms\":";

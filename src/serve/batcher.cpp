@@ -1,7 +1,6 @@
 #include "serve/batcher.hpp"
 
 #include <chrono>
-#include <cmath>
 
 #include "obs/metrics.hpp"
 #include "util/env.hpp"
@@ -9,14 +8,6 @@
 namespace gnndse::serve {
 
 namespace {
-
-/// Same branch-stable form as dse.cpp's sigmoidf, so a predict response
-/// is bit-identical to the p_valid a ModelDse run computes for the same
-/// config.
-float sigmoidf(float x) {
-  return x >= 0 ? 1.0f / (1.0f + std::exp(-x))
-                : std::exp(x) / (1.0f + std::exp(x));
-}
 
 /// featurize() indexes cfg.loops by pragma-site loop id without a bounds
 /// check, so a mismatched config must be rejected before it gets there.
@@ -35,7 +26,7 @@ std::vector<PredictResult> predict_rows(ModelInstance& instance,
                                         const gnn::GraphBatch& batch) {
   // Three distinct trainers, three distinct inference workspaces: all
   // three references stay valid through the fill loop (the same pattern
-  // as ModelDse::score_chunk).
+  // as SweepEngine::score_pending).
   dse::ModelBundle bundle = instance.bundle();
   const tensor::Tensor& main_pred = bundle.regression_main->predict_batch(batch);
   const tensor::Tensor& bram_pred = bundle.regression_bram->predict_batch(batch);
@@ -46,12 +37,8 @@ std::vector<PredictResult> predict_rows(ModelInstance& instance,
     PredictResult& r = out[row];
     const auto i = static_cast<std::int64_t>(row);
     r.ok = true;
-    r.predicted[model::kLatency] = main_pred.at(i, 0);
-    r.predicted[model::kDsp] = main_pred.at(i, 1);
-    r.predicted[model::kLut] = main_pred.at(i, 2);
-    r.predicted[model::kFf] = main_pred.at(i, 3);
-    r.predicted[model::kBram] = bram_pred.at(i, 0);
-    r.p_valid = sigmoidf(valid_pred.at(i, 0));
+    dse::read_prediction(main_pred, bram_pred, valid_pred, i, r.predicted,
+                         r.p_valid);
     r.model_version = instance.version();
     r.batch_size = static_cast<int>(out.size());
   }

@@ -6,8 +6,11 @@
 
 #include "frontend/json_value.hpp"
 #include "frontend/kernel_json.hpp"
+#include "obs/json_util.hpp"
 
 namespace gnndse::serve {
+
+using obs::jsonu::quoted;
 
 namespace {
 
@@ -157,41 +160,6 @@ Request parse_request(const std::string& line) {
   return req;
 }
 
-std::string json_quote(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
-
 std::string float_str(float v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.9g", static_cast<double>(v));
@@ -207,7 +175,7 @@ std::string double_str(double v) {
 std::string error_line(std::int64_t id, const std::string& message) {
   std::string out = "{";
   if (id >= 0) out += "\"id\":" + std::to_string(id) + ",";
-  out += "\"ok\":false,\"error\":" + json_quote(message) + "}";
+  out += "\"ok\":false,\"error\":" + quoted(message) + "}";
   return out;
 }
 
@@ -223,7 +191,7 @@ std::string predicted_fields(const std::array<float, model::kNumObjectives>& p,
   std::string out = "\"predicted\":{";
   for (int i = 0; i < model::kNumObjectives; ++i) {
     if (i) out += ",";
-    out += json_quote(model::objective_name(i)) + ":" + float_str(p[i]);
+    out += quoted(model::objective_name(i)) + ":" + float_str(p[i]);
   }
   out += "},\"p_valid\":" + float_str(p_valid);
   return out;

@@ -58,9 +58,6 @@ struct Request {
 /// message on malformed JSON, unknown kinds/keys, or invalid field values.
 Request parse_request(const std::string& line);
 
-/// `s` as a double-quoted JSON string literal.
-std::string json_quote(const std::string& s);
-
 /// Shortest decimal that round-trips a float32 (%.9g) / float64 (%.17g).
 std::string float_str(float v);
 std::string double_str(double v);

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 
+#include "obs/json_util.hpp"
 #include "obs/metrics.hpp"
 #include "oracle/stack.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace gnndse::serve {
+
+using obs::jsonu::quoted;
 
 namespace {
 
@@ -259,7 +262,7 @@ std::string Server::handle_sweep(Request& req) {
   }
   obs::add(obs::counter("serve.sweeps"));
   const std::string job_id = job->job_id;
-  return ok_head(id) + ",\"kind\":\"sweep\",\"job\":" + json_quote(job_id) +
+  return ok_head(id) + ",\"kind\":\"sweep\",\"job\":" + quoted(job_id) +
          "}";
 }
 
@@ -314,7 +317,7 @@ std::string Server::handle_poll(const Request& req) {
   if (!job) return error_line(req.id, "unknown job '" + req.job + "'");
 
   std::string out = ok_head(req.id) + ",\"kind\":\"poll\",\"job\":" +
-                    json_quote(job->job_id);
+                    quoted(job->job_id);
   if (!job->done.load(std::memory_order_acquire)) {
     // The job's own progress, which its sweep engine updates after every
     // chunk (the process-wide dse.* metrics mix concurrent sweeps).
@@ -349,7 +352,7 @@ std::string Server::handle_poll(const Request& req) {
   out += ",\"top\":[";
   for (std::size_t i = 0; i < r.top.size(); ++i) {
     if (i) out += ",";
-    out += "{\"config\":" + json_quote(r.top[i].config.key()) + ",";
+    out += "{\"config\":" + quoted(r.top[i].config.key()) + ",";
     out += predicted_fields(r.top[i].predicted, r.top[i].p_valid);
     out += "}";
   }
@@ -357,7 +360,7 @@ std::string Server::handle_poll(const Request& req) {
   if (job->evaluated) {
     out += ",\"evaluated\":true";
     if (job->eval_best_found) {
-      out += ",\"best_config\":" + json_quote(job->eval_best_config);
+      out += ",\"best_config\":" + quoted(job->eval_best_config);
       out += ",\"best_cycles\":" + double_str(job->eval_best_cycles);
     }
   }
@@ -376,7 +379,7 @@ std::string Server::handle_cancel(const Request& req) {
   job->cancel.store(true);
   obs::add(obs::counter("serve.cancels"));
   return ok_head(req.id) + ",\"kind\":\"cancel\",\"job\":" +
-         json_quote(job->job_id) + "}";
+         quoted(job->job_id) + "}";
 }
 
 std::string Server::handle_admin(const Request& req) {

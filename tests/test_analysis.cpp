@@ -7,7 +7,7 @@
 
 #include <cmath>
 
-#include "kernels/kernels.hpp"
+#include "kernels/registry.hpp"
 
 namespace gnndse::analysis {
 namespace {
@@ -100,7 +100,7 @@ TEST(Pareto, FrontFiltersDominatedAndInvalid) {
 }
 
 TEST(Attention, ScoresSortedAndNormalized) {
-  kir::Kernel k = kernels::make_kernel("aes");
+  kir::Kernel k = kernels::Registry::global().get("aes");
   model::SampleFactory factory;
   model::ModelOptions mo;
   mo.kind = model::ModelKind::kM7Full;

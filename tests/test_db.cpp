@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "kernels/kernels.hpp"
+#include "kernels/registry.hpp"
 #include "oracle/evaluator.hpp"
 
 namespace gnndse::db {
@@ -28,7 +29,7 @@ HlsResult fake_result(bool valid, double cycles, double util = 0.1) {
 
 DataPoint point(const std::string& kernel, int parallel, bool valid,
                 double cycles, double util = 0.1) {
-  kir::Kernel k = kernels::make_kernel(kernel);
+  kir::Kernel k = kernels::Registry::global().get(kernel);
   DesignConfig cfg = DesignConfig::neutral(k);
   cfg.loops[0].parallel = parallel;
   return DataPoint{kernel, cfg, fake_result(valid, cycles, util)};
@@ -111,7 +112,7 @@ TEST(Fits, ChecksEveryResource) {
 class ExplorerTest : public ::testing::Test {
  protected:
   oracle::SimEvaluator hls_;
-  kir::Kernel kernel_ = kernels::make_kernel("gemm-ncubed");
+  kir::Kernel kernel_ = kernels::Registry::global().get("gemm-ncubed");
   dspace::DesignSpace space_{kernel_};
 };
 
@@ -189,7 +190,7 @@ TEST(InitialDatabase, ContainsInvalidDesignsForClassifier) {
   oracle::SimEvaluator hls;
   util::Rng rng(7);
   Database db = generate_initial_database(
-      {kernels::make_kernel("nw")}, hls, rng,
+      {kernels::Registry::global().get("nw")}, hls, rng,
       [](const std::string&) { return 120; });
   auto c = db.counts("nw");
   EXPECT_GT(c.total, c.valid);  // some invalid designs present

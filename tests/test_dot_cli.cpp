@@ -8,13 +8,13 @@
 #include "graphgen/dot_export.hpp"
 #include "graphgen/json_export.hpp"
 #include "hlssim/hls_sim.hpp"
-#include "kernels/kernels.hpp"
+#include "kernels/registry.hpp"
 
 namespace gnndse {
 namespace {
 
 TEST(DotExport, ContainsAllNodesAndColors) {
-  kir::Kernel k = kernels::make_kernel("aes");
+  kir::Kernel k = kernels::Registry::global().get("aes");
   dspace::DesignSpace space(k);
   graphgen::ProgramGraph g = graphgen::build_graph(k, space);
   const std::string dot = graphgen::to_dot(g);
@@ -30,7 +30,7 @@ TEST(DotExport, ContainsAllNodesAndColors) {
 }
 
 TEST(DotExport, AnnotatesPragmaValues) {
-  kir::Kernel k = kernels::make_kernel("aes");
+  kir::Kernel k = kernels::Registry::global().get("aes");
   dspace::DesignSpace space(k);
   graphgen::ProgramGraph g = graphgen::build_graph(k, space);
   hlssim::DesignConfig cfg = hlssim::DesignConfig::neutral(k);
@@ -47,7 +47,7 @@ TEST(DotExport, AnnotatesPragmaValues) {
 }
 
 TEST(DotExport, AttentionScalesNodeSize) {
-  kir::Kernel k = kernels::make_kernel("spmv-crs");
+  kir::Kernel k = kernels::Registry::global().get("spmv-crs");
   dspace::DesignSpace space(k);
   graphgen::ProgramGraph g = graphgen::build_graph(k, space);
   graphgen::DotOptions opts;
@@ -58,7 +58,7 @@ TEST(DotExport, AttentionScalesNodeSize) {
 }
 
 TEST(DotExport, WritesFile) {
-  kir::Kernel k = kernels::make_kernel("md-knn");
+  kir::Kernel k = kernels::Registry::global().get("md-knn");
   dspace::DesignSpace space(k);
   graphgen::ProgramGraph g = graphgen::build_graph(k, space);
   const std::string path = ::testing::TempDir() + "md_knn.dot";
@@ -69,7 +69,7 @@ TEST(DotExport, WritesFile) {
 }
 
 TEST(JsonExport, StructureAndCounts) {
-  kir::Kernel k = kernels::make_kernel("spmv-crs");
+  kir::Kernel k = kernels::Registry::global().get("spmv-crs");
   dspace::DesignSpace space(k);
   graphgen::ProgramGraph g = graphgen::build_graph(k, space);
   const std::string json = graphgen::to_json(g);
@@ -94,7 +94,7 @@ TEST(JsonExport, StructureAndCounts) {
 }
 
 TEST(JsonExport, FeaturesRequireSpaceAndConfig) {
-  kir::Kernel k = kernels::make_kernel("aes");
+  kir::Kernel k = kernels::Registry::global().get("aes");
   dspace::DesignSpace space(k);
   graphgen::ProgramGraph g = graphgen::build_graph(k, space);
   graphgen::JsonOptions opts;
@@ -109,7 +109,7 @@ TEST(JsonExport, FeaturesRequireSpaceAndConfig) {
 }
 
 TEST(JsonExport, WritesFile) {
-  kir::Kernel k = kernels::make_kernel("doitgen");
+  kir::Kernel k = kernels::Registry::global().get("doitgen");
   dspace::DesignSpace space(k);
   graphgen::ProgramGraph g = graphgen::build_graph(k, space);
   const std::string path = ::testing::TempDir() + "doitgen.json";
@@ -120,7 +120,7 @@ TEST(JsonExport, WritesFile) {
 }
 
 TEST(NormalizeConfig, FgUnrollsDescendantsAndDiscardsTheirPragmas) {
-  kir::Kernel k = kernels::make_kernel("gemm-ncubed");
+  kir::Kernel k = kernels::Registry::global().get("gemm-ncubed");
   hlssim::DesignConfig cfg = hlssim::DesignConfig::neutral(k);
   cfg.loops[0].pipeline = hlssim::PipeMode::kFine;  // i
   cfg.loops[1].parallel = 8;                        // j: discarded
@@ -133,7 +133,7 @@ TEST(NormalizeConfig, FgUnrollsDescendantsAndDiscardsTheirPragmas) {
 }
 
 TEST(NormalizeConfig, ClampsAndCoercesCg) {
-  kir::Kernel k = kernels::make_kernel("gemm-ncubed");
+  kir::Kernel k = kernels::Registry::global().get("gemm-ncubed");
   hlssim::DesignConfig cfg = hlssim::DesignConfig::neutral(k);
   cfg.loops[2].pipeline = hlssim::PipeMode::kCoarse;  // childless k loop
   cfg.loops[2].parallel = 100000;                     // above trip count

@@ -9,7 +9,7 @@
 #include <cmath>
 
 #include "db/explorer.hpp"
-#include "kernels/kernels.hpp"
+#include "kernels/registry.hpp"
 #include "oracle/evaluator.hpp"
 
 namespace gnndse::dse {
@@ -35,8 +35,8 @@ db::Database tiny_db(const std::vector<kir::Kernel>& kernels, int budget) {
 class DseFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    kernels_ = {kernels::make_kernel("gemm-ncubed"),
-                kernels::make_kernel("spmv-crs")};
+    kernels_ = {kernels::Registry::global().get("gemm-ncubed"),
+                kernels::Registry::global().get("spmv-crs")};
     database_ = tiny_db(kernels_, 150);
     models_ = std::make_unique<TrainedModels>(database_, kernels_, factory_,
                                               tiny_pipeline());
@@ -104,7 +104,7 @@ TEST_F(DseFixture, EvaluateTopAppendsToDatabase) {
 }
 
 TEST(AutoDseBaseline, ImprovesAndAccountsTime) {
-  kir::Kernel k = kernels::make_kernel("gemm-ncubed");
+  kir::Kernel k = kernels::Registry::global().get("gemm-ncubed");
   oracle::SimEvaluator hls;
   AutoDseOutcome out = run_autodse_baseline(k, hls, 6.0 * 3600.0);
   EXPECT_GT(out.evals, 20);
@@ -118,8 +118,9 @@ TEST(AutoDseBaseline, ImprovesAndAccountsTime) {
 TEST(Rounds, ReportsPerRoundDseQuality) {
   // Fig 7 semantics: each round's speedup is the design found by *that*
   // round's DSE vs the initial database best (can dip below 1x early).
-  auto kernels = std::vector<kir::Kernel>{kernels::make_kernel("spmv-crs"),
-                                          kernels::make_kernel("spmv-ellpack")};
+  auto kernels =
+      std::vector<kir::Kernel>{kernels::Registry::global().get("spmv-crs"),
+                               kernels::Registry::global().get("spmv-ellpack")};
   db::Database initial = tiny_db(kernels, 60);
   oracle::SimEvaluator hls;
   DseOptions dopts;
@@ -140,7 +141,8 @@ TEST(Rounds, ReportsPerRoundDseQuality) {
 }
 
 TEST(TrainedModelsCache, RoundTripsThroughDisk) {
-  auto kernels = std::vector<kir::Kernel>{kernels::make_kernel("aes")};
+  auto kernels =
+      std::vector<kir::Kernel>{kernels::Registry::global().get("aes")};
   db::Database database = tiny_db(kernels, 20);
   const std::string prefix = ::testing::TempDir() + "bundle_test";
   model::SampleFactory f1;

@@ -6,7 +6,7 @@
 
 #include <set>
 
-#include "kernels/kernels.hpp"
+#include "kernels/registry.hpp"
 
 namespace gnndse::dspace {
 namespace {
@@ -16,7 +16,7 @@ using hlssim::PipeMode;
 
 TEST(DesignSpace, SiteOrderFollowsPositionIds) {
   // Sites of a loop appear as tile(0), pipeline(1), parallel(2).
-  kir::Kernel k = kernels::make_kernel("gemm-ncubed");
+  kir::Kernel k = kernels::Registry::global().get("gemm-ncubed");
   DesignSpace space(k);
   int last_loop = -1;
   int last_kind = -1;
@@ -31,7 +31,7 @@ TEST(DesignSpace, SiteOrderFollowsPositionIds) {
 }
 
 TEST(DesignSpace, DecodeEncodeRoundTrip) {
-  kir::Kernel k = kernels::make_kernel("stencil");
+  kir::Kernel k = kernels::Registry::global().get("stencil");
   DesignSpace space(k);
   util::Rng rng(3);
   for (int i = 0; i < 200; ++i) {
@@ -42,7 +42,7 @@ TEST(DesignSpace, DecodeEncodeRoundTrip) {
 }
 
 TEST(DesignSpace, DecodeOutOfRangeThrows) {
-  kir::Kernel k = kernels::make_kernel("aes");
+  kir::Kernel k = kernels::Registry::global().get("aes");
   DesignSpace space(k);
   EXPECT_THROW(space.decode(space.raw_size()), std::out_of_range);
 }
@@ -50,7 +50,7 @@ TEST(DesignSpace, DecodeOutOfRangeThrows) {
 TEST(DesignSpace, PrunedCountMatchesEnumeration) {
   // The closed-form DP count must equal brute-force enumeration.
   for (const char* name : {"aes", "spmv-crs", "gesummv", "doitgen"}) {
-    kir::Kernel k = kernels::make_kernel(name);
+    kir::Kernel k = kernels::Registry::global().get(name);
     DesignSpace space(k);
     std::uint64_t counted = 0;
     space.for_each([&](DesignConfig&&) {
@@ -64,7 +64,7 @@ TEST(DesignSpace, PrunedCountMatchesEnumeration) {
 TEST(DesignSpace, PrunedConfigsAreDuplicatesUnderFg) {
   // A pruned config differs from its canonical form only under an
   // fg-pipelined ancestor, so the space never loses distinct designs.
-  kir::Kernel k = kernels::make_kernel("gemm-ncubed");
+  kir::Kernel k = kernels::Registry::global().get("gemm-ncubed");
   DesignSpace space(k);
   DesignConfig cfg = DesignConfig::neutral(k);
   cfg.loops[0].pipeline = PipeMode::kFine;
@@ -77,7 +77,7 @@ TEST(DesignSpace, PrunedConfigsAreDuplicatesUnderFg) {
 }
 
 TEST(DesignSpace, ForEachRespectsLimit) {
-  kir::Kernel k = kernels::make_kernel("stencil");
+  kir::Kernel k = kernels::Registry::global().get("stencil");
   DesignSpace space(k);
   std::uint64_t n = 0;
   space.for_each(
@@ -92,7 +92,7 @@ TEST(DesignSpace, ForEachRespectsLimit) {
 TEST(DesignSpace, ForEachVisitorCanStopEnumeration) {
   // Returning false must stop the sweep immediately — cancelled DSE runs
   // rely on this to avoid decoding the rest of a large space.
-  kir::Kernel k = kernels::make_kernel("stencil");
+  kir::Kernel k = kernels::Registry::global().get("stencil");
   DesignSpace space(k);
   std::uint64_t n = 0;
   space.for_each([&](DesignConfig&&) { return ++n < 7; });
@@ -100,7 +100,7 @@ TEST(DesignSpace, ForEachVisitorCanStopEnumeration) {
 }
 
 TEST(DesignSpace, SampleNeverPruned) {
-  kir::Kernel k = kernels::make_kernel("nw");
+  kir::Kernel k = kernels::Registry::global().get("nw");
   DesignSpace space(k);
   util::Rng rng(5);
   for (int i = 0; i < 300; ++i)
@@ -108,7 +108,7 @@ TEST(DesignSpace, SampleNeverPruned) {
 }
 
 TEST(DesignSpace, SampleCoversSpace) {
-  kir::Kernel k = kernels::make_kernel("aes");
+  kir::Kernel k = kernels::Registry::global().get("aes");
   DesignSpace space(k);
   util::Rng rng(5);
   std::set<std::string> seen;
@@ -118,7 +118,7 @@ TEST(DesignSpace, SampleCoversSpace) {
 }
 
 TEST(DesignSpace, NeighborsDifferInExactlyOneSite) {
-  kir::Kernel k = kernels::make_kernel("gemm-blocked");
+  kir::Kernel k = kernels::Registry::global().get("gemm-blocked");
   DesignSpace space(k);
   util::Rng rng(9);
   DesignConfig base = space.sample(rng);
@@ -134,7 +134,7 @@ TEST(DesignSpace, NeighborsDifferInExactlyOneSite) {
 }
 
 TEST(DesignSpace, RawSizeIsProductOfOptions) {
-  kir::Kernel k = kernels::make_kernel("aes");
+  kir::Kernel k = kernels::Registry::global().get("aes");
   DesignSpace space(k);
   std::uint64_t prod = 1;
   for (const auto& s : space.sites()) prod *= s.options.size();
@@ -145,7 +145,7 @@ TEST(DesignSpace, RawSizeIsProductOfOptions) {
 // --- priority ordering (§4.4) -------------------------------------------------
 
 TEST(PriorityOrder, InnermostLoopsComeFirst) {
-  kir::Kernel k = kernels::make_kernel("gemm-ncubed");
+  kir::Kernel k = kernels::Registry::global().get("gemm-ncubed");
   DesignSpace space(k);
   auto order = priority_ordered_sites(space);
   ASSERT_EQ(order.size(), space.sites().size());
@@ -160,7 +160,7 @@ TEST(PriorityOrder, InnermostLoopsComeFirst) {
 
 TEST(PriorityOrder, IsAPermutation) {
   for (const char* name : {"2mm", "stencil", "nw"}) {
-    kir::Kernel k = kernels::make_kernel(name);
+    kir::Kernel k = kernels::Registry::global().get(name);
     DesignSpace space(k);
     auto order = priority_ordered_sites(space);
     std::set<int> unique(order.begin(), order.end());
@@ -171,7 +171,7 @@ TEST(PriorityOrder, IsAPermutation) {
 TEST(PriorityOrder, ParentPipelinePrecedesChildParallel) {
   // Dependence rule: the pipeline pragma of a loop must be evaluated
   // before (or adjacent to) the parallel pragma of its child.
-  kir::Kernel k = kernels::make_kernel("gemm-ncubed");
+  kir::Kernel k = kernels::Registry::global().get("gemm-ncubed");
   DesignSpace space(k);
   auto order = priority_ordered_sites(space);
   auto pos_of = [&](int loop, SiteKind kind) {

@@ -20,7 +20,6 @@
 #include "dspace/design_space.hpp"
 #include "gnn/batch.hpp"
 #include "kernels/generator.hpp"
-#include "kernels/kernels.hpp"
 #include "kernels/registry.hpp"
 #include "obs/metrics.hpp"
 #include "oracle/evaluator.hpp"
@@ -83,7 +82,7 @@ struct ThreadGuard {
 
 TEST(FastPath, BitIdenticalToTapeAcrossKindsAndThreads) {
   ThreadGuard guard;
-  kir::Kernel kernel = kernels::make_kernel("spmv-crs");
+  kir::Kernel kernel = kernels::Registry::global().get("spmv-crs");
   SampleFactory factory;
   const auto configs = sample_configs(kernel, 12, 7);
   const auto graphs = featurize_all(factory, kernel, configs);
@@ -108,7 +107,7 @@ TEST(FastPath, BitIdenticalToTapeAcrossKindsAndThreads) {
 
 TEST(FastPath, UngatedResidualAndSingleObjectiveHeadsBitIdentical) {
   ThreadGuard guard;
-  kir::Kernel kernel = kernels::make_kernel("gemm-ncubed");
+  kir::Kernel kernel = kernels::Registry::global().get("gemm-ncubed");
   SampleFactory factory;
   const auto configs = sample_configs(kernel, 10, 3);
   const auto graphs = featurize_all(factory, kernel, configs);
@@ -148,7 +147,7 @@ TEST(FastPath, BatchForMatchesPerConfigAssembly) {
   obs::set_enabled(true);
   obs::Counter& hits = obs::counter("gnn.batch_skeleton_hits");
   obs::Counter& misses = obs::counter("gnn.batch_skeleton_misses");
-  kir::Kernel kernel = kernels::make_kernel("gemm-ncubed");
+  kir::Kernel kernel = kernels::Registry::global().get("gemm-ncubed");
   SampleFactory factory;
 
   // Alternating chunk sizes, as a heuristic sweep's full and partial chunks
@@ -171,9 +170,6 @@ TEST(FastPath, BatchForMatchesPerConfigAssembly) {
     expect_bitwise(ref.x, b.x, "batch x");
     expect_bitwise(ref.e, b.e, "batch e");
     expect_bitwise(ref.aux, b.aux, "batch aux");
-    EXPECT_EQ(ref.src_sl, b.src_sl);
-    EXPECT_EQ(ref.dst_sl, b.dst_sl);
-    EXPECT_EQ(ref.gcn_coeff, b.gcn_coeff);
     EXPECT_EQ(ref.node_graph, b.node_graph);
     EXPECT_EQ(ref.node_offset, b.node_offset);
     EXPECT_EQ(ref.num_nodes, b.num_nodes);
@@ -272,7 +268,7 @@ TEST(FastPath, DeltaForwardBitIdenticalToFullForward) {
 // one kernel, six TransformerConv layers, rows compared bit for bit.
 TEST(FastPath, RowsOutsidePlanSetAgreeAcrossConfigs) {
   for (const char* name : {"doitgen", "gesummv", "2mm"}) {
-    kir::Kernel kernel = kernels::make_kernel(name);
+    kir::Kernel kernel = kernels::Registry::global().get(name);
     SampleFactory factory;
     const auto configs = sample_configs(kernel, 2, 19);
     const auto graphs = featurize_all(factory, kernel, configs);
@@ -307,7 +303,7 @@ TEST(FastPath, TemplateInvalidatedOnKernelEdit) {
   obs::Counter& hits = obs::counter("gnn.template_hits");
   obs::Counter& misses = obs::counter("gnn.template_misses");
 
-  kir::Kernel kernel = kernels::make_kernel("spmv-crs");
+  kir::Kernel kernel = kernels::Registry::global().get("spmv-crs");
   SampleFactory factory;
   const auto configs = sample_configs(kernel, 2, 4);
 
@@ -336,8 +332,8 @@ TEST(FastPath, TemplateBudgetEvictsLruButNeverMru) {
   obs::Counter& misses = obs::counter("gnn.template_misses");
   obs::Counter& evictions = obs::counter("gnn.template_evictions");
 
-  kir::Kernel k1 = kernels::make_kernel("spmv-crs");
-  kir::Kernel k2 = kernels::make_kernel("gemm-ncubed");
+  kir::Kernel k1 = kernels::Registry::global().get("spmv-crs");
+  kir::Kernel k2 = kernels::Registry::global().get("gemm-ncubed");
   const auto cfg1 = sample_configs(k1, 1, 4)[0];
   const auto cfg2 = sample_configs(k2, 1, 4)[0];
 
@@ -376,7 +372,7 @@ TEST(FastPath, TemplateBudgetEvictsLruButNeverMru) {
 }
 
 TEST(FastPath, WorkspaceStopsGrowingAfterWarmup) {
-  kir::Kernel kernel = kernels::make_kernel("spmv-crs");
+  kir::Kernel kernel = kernels::Registry::global().get("spmv-crs");
   SampleFactory factory;
   const auto configs = sample_configs(kernel, 16, 13);
   const auto graphs = featurize_all(factory, kernel, configs);
@@ -405,7 +401,7 @@ TEST(FastPath, WorkspaceStopsGrowingAfterWarmup) {
 // bit. Two long-lived batches: a make_batch batch, and a batch_for
 // skeleton whose row plan the DSE sweep reuses across chunks.
 TEST(FastPath, BitIdenticalToTapeAfterTraining) {
-  kir::Kernel kernel = kernels::make_kernel("spmv-crs");
+  kir::Kernel kernel = kernels::Registry::global().get("spmv-crs");
   SampleFactory factory;
   const auto configs = sample_configs(kernel, 8, 29);
   const auto graphs = featurize_all(factory, kernel, configs);
@@ -454,7 +450,7 @@ TEST(FastPath, BitIdenticalToTapeAfterTraining) {
 }
 
 TEST(FastPath, EmbeddingsMatchTapeGraphEmbedding) {
-  kir::Kernel kernel = kernels::make_kernel("spmv-crs");
+  kir::Kernel kernel = kernels::Registry::global().get("spmv-crs");
   SampleFactory factory;
   const auto configs = sample_configs(kernel, 6, 21);
   const auto graphs = featurize_all(factory, kernel, configs);

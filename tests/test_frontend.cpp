@@ -17,7 +17,6 @@
 #include "graphgen/program_graph.hpp"
 #include "hlssim/hls_sim.hpp"
 #include "kernels/generator.hpp"
-#include "kernels/kernels.hpp"
 #include "kernels/registry.hpp"
 #include "oracle/evaluator.hpp"
 
@@ -37,7 +36,7 @@ std::vector<std::string> all_compiled_names() {
 class RoundTrip : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(RoundTrip, SerializeParsePreservesDigest) {
-  kir::Kernel k = kernels::make_kernel(GetParam());
+  kir::Kernel k = kernels::Registry::global().get(GetParam());
   const std::string text = frontend::serialize_kernel(k);
   kir::Kernel back = frontend::parse_kernel(text);
   EXPECT_EQ(oracle::kernel_digest(k), oracle::kernel_digest(back))
@@ -48,7 +47,7 @@ TEST_P(RoundTrip, SerializeParsePreservesDigest) {
 }
 
 TEST_P(RoundTrip, FileSaveLoadPreservesDigest) {
-  kir::Kernel k = kernels::make_kernel(GetParam());
+  kir::Kernel k = kernels::Registry::global().get(GetParam());
   const std::string path =
       ::testing::TempDir() + "rt_" + GetParam() + ".json";
   frontend::save_kernel_file(k, path);

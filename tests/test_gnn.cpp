@@ -62,19 +62,19 @@ TEST(Batch, DisjointUnionOffsets) {
 
 TEST(Batch, SelfLoopsAppended) {
   GraphData a = triangle(1.0f);
-  GraphBatch batch = make_batch({&a});
-  EXPECT_EQ(batch.src_sl.size(), a.src.size() + 3);
+  const SelfLoopEdges sl = self_loop_edges(make_batch({&a}));
+  EXPECT_EQ(sl.src.size(), a.src.size() + 3);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(batch.src_sl[a.src.size() + static_cast<std::size_t>(i)], i);
-    EXPECT_EQ(batch.dst_sl[a.src.size() + static_cast<std::size_t>(i)], i);
+    EXPECT_EQ(sl.src[a.src.size() + static_cast<std::size_t>(i)], i);
+    EXPECT_EQ(sl.dst[a.src.size() + static_cast<std::size_t>(i)], i);
   }
 }
 
 TEST(Batch, GcnCoefficientsSymmetricNormalized) {
   GraphData a = triangle(1.0f);
-  GraphBatch batch = make_batch({&a});
+  const SelfLoopEdges sl = self_loop_edges(make_batch({&a}));
   // Triangle + self loops: every node has in-degree 2.
-  for (float c : batch.gcn_coeff) EXPECT_NEAR(c, 0.5f, 1e-6f);
+  for (float c : sl.coeff) EXPECT_NEAR(c, 0.5f, 1e-6f);
 }
 
 TEST(Batch, MismatchedFeaturesThrow) {
@@ -116,7 +116,7 @@ std::int32_t row_of(const std::vector<std::int32_t>& set, std::int64_t copies,
 
 /// Checks plan_rows on 3 copies of `tpl` against the expected sets C_0..C_K
 /// (the plan saturates at layer K): monotone sets, and every output row's
-/// in-edges complete and in template order, for both edge lists.
+/// in-edges complete and in template order.
 void check_plan(const GraphData& tpl, const std::vector<std::int32_t>& varying,
                 const std::vector<std::vector<std::int32_t>>& want) {
   const std::int64_t copies = 3;
@@ -138,8 +138,7 @@ void check_plan(const GraphData& tpl, const std::vector<std::int32_t>& varying,
                                n - static_cast<std::int64_t>(want[k].size()));
     // Expected edge lists, row by row; shared rows are computed once (as
     // copy 0).
-    std::vector<std::int32_t> src, dst, qrow, eid, src_sl, dst_sl, qrow_sl;
-    std::vector<float> coeff;
+    std::vector<std::int32_t> src, dst, qrow, eid;
     std::vector<std::pair<std::int32_t, std::int32_t>> rows;  // (b, node)
     for (std::int64_t b = 0; b < copies; ++b)
       for (std::int32_t node : want[k]) rows.push_back({static_cast<std::int32_t>(b), node});
@@ -158,24 +157,12 @@ void check_plan(const GraphData& tpl, const std::vector<std::int32_t>& varying,
         dst.push_back(out);
         qrow.push_back(self);
         eid.push_back(e);
-        src_sl.push_back(from);
-        dst_sl.push_back(out);
-        qrow_sl.push_back(self);
-        coeff.push_back(batch.gcn_coeff[static_cast<std::size_t>(e)]);
       }
-      src_sl.push_back(self);
-      dst_sl.push_back(out);
-      qrow_sl.push_back(self);
-      coeff.push_back(batch.gcn_coeff[static_cast<std::size_t>(copies * ne + node)]);
     }
     EXPECT_EQ(lr.src, src);
     EXPECT_EQ(lr.dst, dst);
     EXPECT_EQ(lr.qrow, qrow);
     EXPECT_EQ(lr.eid, eid);
-    EXPECT_EQ(lr.src_sl, src_sl);
-    EXPECT_EQ(lr.dst_sl, dst_sl);
-    EXPECT_EQ(lr.qrow_sl, qrow_sl);
-    EXPECT_EQ(lr.gcn_coeff, coeff);
     for (std::int64_t b = 0; b < copies; ++b)
       for (std::int32_t node = 0; node < n; ++node)
         EXPECT_EQ(lr.node_row[static_cast<std::size_t>(b * n + node)],

@@ -21,7 +21,7 @@ using hlssim::PipeMode;
 class AllKernelsGraph : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(AllKernelsGraph, BuildsValidGraph) {
-  kir::Kernel k = kernels::make_kernel(GetParam());
+  kir::Kernel k = kernels::Registry::global().get(GetParam());
   dspace::DesignSpace space(k);
   ProgramGraph g = build_graph(k, space);
   EXPECT_NO_THROW(validate(g));
@@ -31,7 +31,7 @@ TEST_P(AllKernelsGraph, BuildsValidGraph) {
 }
 
 TEST_P(AllKernelsGraph, OnePragmaNodePerSite) {
-  kir::Kernel k = kernels::make_kernel(GetParam());
+  kir::Kernel k = kernels::Registry::global().get(GetParam());
   dspace::DesignSpace space(k);
   ProgramGraph g = build_graph(k, space);
   EXPECT_EQ(g.pragma_nodes.size(), space.sites().size());
@@ -42,7 +42,7 @@ TEST_P(AllKernelsGraph, OnePragmaNodePerSite) {
 }
 
 TEST_P(AllKernelsGraph, PragmaEdgesTargetLoopIcmp) {
-  kir::Kernel k = kernels::make_kernel(GetParam());
+  kir::Kernel k = kernels::Registry::global().get(GetParam());
   dspace::DesignSpace space(k);
   ProgramGraph g = build_graph(k, space);
   std::size_t pragma_edges = 0;
@@ -58,7 +58,7 @@ TEST_P(AllKernelsGraph, PragmaEdgesTargetLoopIcmp) {
 }
 
 TEST_P(AllKernelsGraph, HasAllFourFlows) {
-  kir::Kernel k = kernels::make_kernel(GetParam());
+  kir::Kernel k = kernels::Registry::global().get(GetParam());
   dspace::DesignSpace space(k);
   ProgramGraph g = build_graph(k, space);
   bool flows[4] = {false, false, false, false};
@@ -88,7 +88,7 @@ INSTANTIATE_TEST_SUITE_P(Suite, AllKernelsGraph,
                          });
 
 TEST(GraphStructure, LoopSkeletonHasBackEdge) {
-  kir::Kernel k = kernels::make_kernel("aes");
+  kir::Kernel k = kernels::Registry::global().get("aes");
   dspace::DesignSpace space(k);
   ProgramGraph g = build_graph(k, space);
   // Every loop's br must have a control edge back to its icmp.
@@ -103,7 +103,7 @@ TEST(GraphStructure, LoopSkeletonHasBackEdge) {
 }
 
 TEST(GraphStructure, RecurrenceFormsDataCycle) {
-  kir::Kernel k = kernels::make_kernel("gemm-ncubed");
+  kir::Kernel k = kernels::Registry::global().get("gemm-ncubed");
   dspace::DesignSpace space(k);
   ProgramGraph g = build_graph(k, space);
   bool found = false;
@@ -121,7 +121,7 @@ TEST(GraphStructure, RecurrenceFormsDataCycle) {
 }
 
 TEST(Featurize, ShapesMatchContract) {
-  kir::Kernel k = kernels::make_kernel("stencil");
+  kir::Kernel k = kernels::Registry::global().get("stencil");
   dspace::DesignSpace space(k);
   ProgramGraph g = build_graph(k, space);
   tensor::Tensor x = node_features(g, space, DesignConfig::neutral(k));
@@ -133,7 +133,7 @@ TEST(Featurize, ShapesMatchContract) {
 }
 
 TEST(Featurize, OneHotBlocksSumCorrectly) {
-  kir::Kernel k = kernels::make_kernel("mvt");
+  kir::Kernel k = kernels::Registry::global().get("mvt");
   dspace::DesignSpace space(k);
   ProgramGraph g = build_graph(k, space);
   tensor::Tensor x = node_features(g, space, DesignConfig::neutral(k));
@@ -151,7 +151,7 @@ TEST(Featurize, OneHotBlocksSumCorrectly) {
 TEST(Featurize, OnlyPragmaRowsChangeAcrossConfigs) {
   // The paper's key property (§4.2): among graphs for different design
   // configurations, only the pragma-node attributes differ.
-  kir::Kernel k = kernels::make_kernel("gemm-ncubed");
+  kir::Kernel k = kernels::Registry::global().get("gemm-ncubed");
   dspace::DesignSpace space(k);
   ProgramGraph g = build_graph(k, space);
   DesignConfig a = DesignConfig::neutral(k);
@@ -178,7 +178,7 @@ TEST(Featurize, OnlyPragmaRowsChangeAcrossConfigs) {
 }
 
 TEST(Featurize, PipelineOptionsAreOneHot) {
-  kir::Kernel k = kernels::make_kernel("aes");
+  kir::Kernel k = kernels::Registry::global().get("aes");
   dspace::DesignSpace space(k);
   ProgramGraph g = build_graph(k, space);
   DesignConfig cfg = DesignConfig::neutral(k);
@@ -197,7 +197,7 @@ TEST(Featurize, PipelineOptionsAreOneHot) {
 }
 
 TEST(Featurize, PragmaVectorLayout) {
-  kir::Kernel k = kernels::make_kernel("gesummv");
+  kir::Kernel k = kernels::Registry::global().get("gesummv");
   dspace::DesignSpace space(k);
   DesignConfig cfg = DesignConfig::neutral(k);
   cfg.loops[0].parallel = 4;
@@ -221,7 +221,7 @@ TEST(Featurize, MultipleEdgesSameTypeAreNumbered) {
   // Paper: "when there are two or more edges of the same type connected to
   // a node, they are numbered to further distinguish them". Pragma edges
   // to the same icmp carry distinct positions.
-  kir::Kernel k = kernels::make_kernel("stencil");
+  kir::Kernel k = kernels::Registry::global().get("stencil");
   dspace::DesignSpace space(k);
   ProgramGraph g = build_graph(k, space);
   std::map<std::int32_t, std::set<int>> positions;  // icmp -> positions

@@ -19,7 +19,7 @@ const MerlinHls& hls() {
 // --- config plumbing --------------------------------------------------------
 
 TEST(DesignConfig, KeyRoundTrip) {
-  kir::Kernel k = kernels::make_kernel("gemm-ncubed");
+  kir::Kernel k = kernels::Registry::global().get("gemm-ncubed");
   DesignConfig cfg = DesignConfig::neutral(k);
   cfg.loops[0].pipeline = PipeMode::kCoarse;
   cfg.loops[1].parallel = 8;
@@ -61,7 +61,7 @@ TEST(PipeModeNames, Stable) {
 class AllKernelsSim : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(AllKernelsSim, NeutralDesignIsValid) {
-  kir::Kernel k = kernels::make_kernel(GetParam());
+  kir::Kernel k = kernels::Registry::global().get(GetParam());
   HlsResult r = hls().evaluate(k, DesignConfig::neutral(k));
   EXPECT_TRUE(r.valid) << r.invalid_reason;
   EXPECT_GT(r.cycles, 0.0);
@@ -70,7 +70,7 @@ TEST_P(AllKernelsSim, NeutralDesignIsValid) {
 }
 
 TEST_P(AllKernelsSim, Deterministic) {
-  kir::Kernel k = kernels::make_kernel(GetParam());
+  kir::Kernel k = kernels::Registry::global().get(GetParam());
   DesignConfig cfg = DesignConfig::neutral(k);
   cfg.loops.back().pipeline = PipeMode::kFine;
   HlsResult a = hls().evaluate(k, cfg);
@@ -82,7 +82,7 @@ TEST_P(AllKernelsSim, Deterministic) {
 }
 
 TEST_P(AllKernelsSim, UtilizationsConsistentWithCounts) {
-  kir::Kernel k = kernels::make_kernel(GetParam());
+  kir::Kernel k = kernels::Registry::global().get(GetParam());
   HlsResult r = hls().evaluate(k, DesignConfig::neutral(k));
   FpgaResources dev;
   EXPECT_NEAR(r.util_dsp, static_cast<double>(r.dsp) / dev.dsp, 1e-9);
@@ -92,7 +92,7 @@ TEST_P(AllKernelsSim, UtilizationsConsistentWithCounts) {
 }
 
 TEST_P(AllKernelsSim, InnermostFinePipeliningHelps) {
-  kir::Kernel k = kernels::make_kernel(GetParam());
+  kir::Kernel k = kernels::Registry::global().get(GetParam());
   const HlsResult base = hls().evaluate(k, DesignConfig::neutral(k));
   // fg-pipeline every innermost loop: never worse than fully sequential.
   DesignConfig cfg = DesignConfig::neutral(k);
@@ -124,7 +124,7 @@ INSTANTIATE_TEST_SUITE_P(Suite, AllKernelsSim,
 // --- pragma semantics ---------------------------------------------------------
 
 TEST(MerlinSemantics, ParallelReducesLatencyOnParallelLoop) {
-  kir::Kernel k = kernels::make_kernel("stencil");
+  kir::Kernel k = kernels::Registry::global().get("stencil");
   DesignConfig base = DesignConfig::neutral(k);
   HlsResult r1 = hls().evaluate(k, base);
   DesignConfig par = base;
@@ -135,7 +135,7 @@ TEST(MerlinSemantics, ParallelReducesLatencyOnParallelLoop) {
 }
 
 TEST(MerlinSemantics, ParallelScalesResources) {
-  kir::Kernel k = kernels::make_kernel("gemm-ncubed");
+  kir::Kernel k = kernels::Registry::global().get("gemm-ncubed");
   DesignConfig a = DesignConfig::neutral(k);
   DesignConfig b = a;
   b.loops[2].parallel = 8;  // unroll the k loop
@@ -149,7 +149,7 @@ TEST(MerlinSemantics, ParallelScalesResources) {
 TEST(MerlinSemantics, FgPipelineSubsumesInnerPragmas) {
   // With fg pipelining on j, inner-loop pragmas are discarded: the two
   // configurations must evaluate identically (Merlin's rule in §2.3).
-  kir::Kernel k = kernels::make_kernel("gemm-ncubed");
+  kir::Kernel k = kernels::Registry::global().get("gemm-ncubed");
   DesignConfig a = DesignConfig::neutral(k);
   a.loops[1].pipeline = PipeMode::kFine;
   DesignConfig b = a;
@@ -164,7 +164,7 @@ TEST(MerlinSemantics, FgPipelineSubsumesInnerPragmas) {
 TEST(MerlinSemantics, RecurrenceLimitsPipelineII) {
   // atax j1 carries a floating-point accumulation (latency 4): pipelining
   // cannot reach II=1, so latency stays above trip_count * 4.
-  kir::Kernel k = kernels::make_kernel("atax");
+  kir::Kernel k = kernels::Registry::global().get("atax");
   DesignConfig cfg = DesignConfig::neutral(k);
   cfg.loops[1].pipeline = PipeMode::kFine;  // j1
   HlsResult r = hls().evaluate(k, cfg);
@@ -174,7 +174,7 @@ TEST(MerlinSemantics, RecurrenceLimitsPipelineII) {
 }
 
 TEST(MerlinSemantics, TileImprovesStridedOffChipAccess) {
-  kir::Kernel k = kernels::make_kernel("stencil");
+  kir::Kernel k = kernels::Registry::global().get("stencil");
   DesignConfig a = DesignConfig::neutral(k);
   DesignConfig b = a;
   b.loops[0].tile = 8;  // tile site on loop r
@@ -190,7 +190,7 @@ TEST(MerlinSemantics, CoarseGrainPipelineOverlapsStages) {
   // itself carries no dependence the stages overlap. One stage dominates
   // here, so the win is bounded — but cg must never cost more than the
   // stage overhead over sequential execution.
-  kir::Kernel k = kernels::make_kernel("atax");
+  kir::Kernel k = kernels::Registry::global().get("atax");
   DesignConfig a = DesignConfig::neutral(k);
   DesignConfig b = a;
   b.loops[0].pipeline = PipeMode::kCoarse;
@@ -206,7 +206,7 @@ TEST(MerlinSemantics, CoarseGrainPipelineWinsWithBalancedStages) {
   // has a dominant child too — instead check cg on stencil's r loop whose
   // body (c/k1/k2 nest) plus store statement form two stages: overlap must
   // not lose more than the fixed stage overhead.
-  kir::Kernel k = kernels::make_kernel("stencil");
+  kir::Kernel k = kernels::Registry::global().get("stencil");
   DesignConfig a = DesignConfig::neutral(k);
   DesignConfig b = a;
   b.loops[0].pipeline = PipeMode::kCoarse;
@@ -219,7 +219,7 @@ TEST(MerlinSemantics, CoarseGrainPipelineWinsWithBalancedStages) {
 TEST(MerlinSemantics, PaddedParallelFactorCostsExtraChunk) {
   // Non-divisor factor: 126 % 4 != 0 -> ceil(126/4) = 32 chunks vs 63 for
   // factor 2; latency should not scale better than the divisor case.
-  kir::Kernel k = kernels::make_kernel("stencil");
+  kir::Kernel k = kernels::Registry::global().get("stencil");
   DesignConfig d2 = DesignConfig::neutral(k);
   d2.loops[0].parallel = 2;  // divides 126
   DesignConfig d4 = DesignConfig::neutral(k);
@@ -237,7 +237,7 @@ TEST(MerlinSemantics, PaddedParallelFactorCostsExtraChunk) {
 TEST(ValidityRules, ExcessiveUnrollRefused) {
   // fg pipelining gemm's outer loop fully unrolls j*k = 4096 and the
   // parallel factor pushes past the tool limit.
-  kir::Kernel k = kernels::make_kernel("gemm-ncubed");
+  kir::Kernel k = kernels::Registry::global().get("gemm-ncubed");
   DesignConfig cfg = DesignConfig::neutral(k);
   cfg.loops[0].pipeline = PipeMode::kFine;
   cfg.loops[0].parallel = 8;
@@ -247,7 +247,7 @@ TEST(ValidityRules, ExcessiveUnrollRefused) {
 }
 
 TEST(ValidityRules, WideOffChipParallelRefused) {
-  kir::Kernel k = kernels::make_kernel("mvt");
+  kir::Kernel k = kernels::Registry::global().get("mvt");
   DesignConfig cfg = DesignConfig::neutral(k);
   cfg.loops[0].parallel = 400;  // wider than the off-chip interface limit
   HlsResult r = hls().evaluate(k, cfg);
@@ -257,7 +257,7 @@ TEST(ValidityRules, WideOffChipParallelRefused) {
 TEST(ValidityRules, NonAssociativeParallelTimesOut) {
   // nw's DP recurrence: parallelizing the j loop by 8 forces wavefront
   // rewrites whose synthesis effort explodes past the 4h budget.
-  kir::Kernel k = kernels::make_kernel("nw");
+  kir::Kernel k = kernels::Registry::global().get("nw");
   DesignConfig cfg = DesignConfig::neutral(k);
   cfg.loops[1].parallel = 8;
   HlsResult r = hls().evaluate(k, cfg);
@@ -267,7 +267,7 @@ TEST(ValidityRules, NonAssociativeParallelTimesOut) {
 }
 
 TEST(ValidityRules, MildNonAssociativeParallelSurvives) {
-  kir::Kernel k = kernels::make_kernel("nw");
+  kir::Kernel k = kernels::Registry::global().get("nw");
   DesignConfig cfg = DesignConfig::neutral(k);
   cfg.loops[1].parallel = 2;
   HlsResult r = hls().evaluate(k, cfg);
@@ -275,7 +275,7 @@ TEST(ValidityRules, MildNonAssociativeParallelSurvives) {
 }
 
 TEST(ValidityRules, SynthesisTimeGrowsWithUnroll) {
-  kir::Kernel k = kernels::make_kernel("gemm-ncubed");
+  kir::Kernel k = kernels::Registry::global().get("gemm-ncubed");
   DesignConfig small = DesignConfig::neutral(k);
   DesignConfig big = small;
   big.loops[1].parallel = 16;
@@ -288,7 +288,7 @@ TEST(ValidityRules, SynthesisTimeGrowsWithUnroll) {
 // --- global behavior ---------------------------------------------------------
 
 TEST(BandwidthFloor, LatencyNeverBeatsOffChipBytes) {
-  kir::Kernel k = kernels::make_kernel("mvt");
+  kir::Kernel k = kernels::Registry::global().get("mvt");
   // Even an absurdly parallel valid design cannot beat bytes/bus_width:
   // mvt touches 2 * 400*400 * 4B of matrix data.
   DesignConfig cfg = DesignConfig::neutral(k);
@@ -303,7 +303,7 @@ TEST(BandwidthFloor, LatencyNeverBeatsOffChipBytes) {
 }
 
 TEST(DesignConfigErrors, WrongSizeRejected) {
-  kir::Kernel k = kernels::make_kernel("aes");
+  kir::Kernel k = kernels::Registry::global().get("aes");
   DesignConfig cfg;  // empty
   EXPECT_THROW(hls().evaluate(k, cfg), std::invalid_argument);
 }
@@ -313,7 +313,7 @@ TEST(LatencyRange, SuiteSpansPaperMagnitudes) {
   // cover a comparable dynamic range across kernels and configs.
   double min_lat = 1e30, max_lat = 0.0;
   for (const auto& name : kernels::training_kernel_names()) {
-    kir::Kernel k = kernels::make_kernel(name);
+    kir::Kernel k = kernels::Registry::global().get(name);
     HlsResult neutral = hls().evaluate(k, DesignConfig::neutral(k));
     max_lat = std::max(max_lat, neutral.cycles);
     DesignConfig tuned = DesignConfig::neutral(k);

@@ -8,7 +8,7 @@
 #include "db/explorer.hpp"
 #include "dse/dse.hpp"
 #include "dse/pipeline.hpp"
-#include "kernels/kernels.hpp"
+#include "kernels/registry.hpp"
 #include "model/trainer.hpp"
 #include "obs/report.hpp"
 #include "oracle/stack.hpp"
@@ -31,9 +31,10 @@ class EndToEnd : public ::testing::Test {
     hls_ = new oracle::OracleStack();
     // Matrix-kernels domain: train on atax/gemm/gesummv-like structure,
     // keep bicg unseen.
-    kernels_ = new std::vector<kir::Kernel>{
-        kernels::make_kernel("atax"), kernels::make_kernel("gemm-ncubed"),
-        kernels::make_kernel("mvt")};
+    const kernels::Registry& reg = kernels::Registry::global();
+    kernels_ = new std::vector<kir::Kernel>{reg.get("atax"),
+                                            reg.get("gemm-ncubed"),
+                                            reg.get("mvt")};
     util::Rng rng(77);
     db_ = new db::Database(db::generate_initial_database(
         *kernels_, *hls_, rng, [](const std::string&) { return 220; }));
@@ -133,7 +134,7 @@ TEST_F(EndToEnd, DseFindsDesignNearDatabaseBest) {
 TEST_F(EndToEnd, TransfersToUnseenKernel) {
   // bicg never appeared in the database; the model-driven DSE must still
   // find a configuration far better than no pragmas at all.
-  kir::Kernel bicg = kernels::make_kernel("bicg");
+  kir::Kernel bicg = kernels::Registry::global().get("bicg");
   dse::ModelDse md(models_->bundle(), models_->normalizer(), *factory_);
   dse::DseOptions opts;
   opts.top_m = 10;

@@ -15,7 +15,7 @@ namespace {
 class AllKernels : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(AllKernels, ValidatesStructurally) {
-  kir::Kernel k = make_kernel(GetParam());
+  kir::Kernel k = Registry::global().get(GetParam());
   EXPECT_NO_THROW(kir::validate(k));
   EXPECT_FALSE(k.loops.empty());
   EXPECT_FALSE(k.stmts.empty());
@@ -33,26 +33,26 @@ TEST_P(AllKernels, PragmaCountMatchesPaper) {
       {"2mm", 14},
       {"gemver", 9},   {"jacobi-2d", 6},    {"fdtd-2d", 9},
       {"trmm", 5},     {"syrk", 6},         {"md-knn", 3}};
-  kir::Kernel k = make_kernel(GetParam());
+  kir::Kernel k = Registry::global().get(GetParam());
   EXPECT_EQ(k.num_pragma_sites(), expected.at(GetParam()));
 }
 
 TEST_P(AllKernels, HasNonTrivialDesignSpace) {
-  kir::Kernel k = make_kernel(GetParam());
+  kir::Kernel k = Registry::global().get(GetParam());
   dspace::DesignSpace space(k);
   EXPECT_GT(space.pruned_size(), 1u);
   EXPECT_GE(space.raw_size(), space.pruned_size());
 }
 
 TEST_P(AllKernels, EveryLoopReachableFromTop) {
-  kir::Kernel k = make_kernel(GetParam());
+  kir::Kernel k = Registry::global().get(GetParam());
   std::size_t reached = 0;
   for (int top : k.top_loops) reached += k.subtree(top).size();
   EXPECT_EQ(reached, k.loops.size());
 }
 
 TEST_P(AllKernels, AccessesReferenceExistingArrays) {
-  kir::Kernel k = make_kernel(GetParam());
+  kir::Kernel k = Registry::global().get(GetParam());
   for (const auto& s : k.stmts)
     for (const auto& a : s.accesses) {
       ASSERT_GE(a.array, 0);
@@ -77,7 +77,8 @@ INSTANTIATE_TEST_SUITE_P(Suite, AllKernels, ::testing::ValuesIn(all_names()),
                          });
 
 TEST(KernelRegistry, UnknownNameThrows) {
-  EXPECT_THROW(make_kernel("definitely-not-a-kernel"), std::invalid_argument);
+  EXPECT_THROW(Registry::global().get("definitely-not-a-kernel"),
+               std::invalid_argument);
 }
 
 TEST(KernelRegistry, TrainingAndUnseenDisjoint) {
@@ -93,7 +94,7 @@ TEST(KernelRegistry, MakersProduceAll) {
 }
 
 TEST(KernelStructure, NwCarriesNonAssociativeDeps) {
-  kir::Kernel k = make_kernel("nw");
+  kir::Kernel k = Registry::global().get("nw");
   bool found = false;
   for (const auto& s : k.stmts)
     if (s.dep_loop != -1 && !s.dep_associative) found = true;
@@ -101,7 +102,7 @@ TEST(KernelStructure, NwCarriesNonAssociativeDeps) {
 }
 
 TEST(KernelStructure, GemmCarriesAssociativeReduction) {
-  kir::Kernel k = make_kernel("gemm-ncubed");
+  kir::Kernel k = Registry::global().get("gemm-ncubed");
   bool found = false;
   for (const auto& s : k.stmts)
     if (s.dep_loop != -1 && s.dep_associative) found = true;
@@ -110,7 +111,7 @@ TEST(KernelStructure, GemmCarriesAssociativeReduction) {
 
 TEST(KernelStructure, SpmvUsesIndirectAccess) {
   for (const char* name : {"spmv-crs", "spmv-ellpack"}) {
-    kir::Kernel k = make_kernel(name);
+    kir::Kernel k = Registry::global().get(name);
     bool found = false;
     for (const auto& s : k.stmts)
       for (const auto& a : s.accesses)
@@ -122,7 +123,7 @@ TEST(KernelStructure, SpmvUsesIndirectAccess) {
 TEST(KernelStructure, MvtHasLargestTrainingSpace) {
   std::uint64_t mvt_size = 0, max_other = 0;
   for (const auto& name : training_kernel_names()) {
-    dspace::DesignSpace space{make_kernel(name)};
+    dspace::DesignSpace space{Registry::global().get(name)};
     if (name == "mvt")
       mvt_size = space.pruned_size();
     else

@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "db/explorer.hpp"
-#include "kernels/kernels.hpp"
+#include "kernels/registry.hpp"
 #include "oracle/evaluator.hpp"
 
 namespace gnndse::model {
@@ -76,7 +76,7 @@ TEST(Normalizer, TargetsOrderAndUtilPassthrough) {
 }
 
 TEST(SampleFactory, CachesKernelStructures) {
-  kir::Kernel k = kernels::make_kernel("aes");
+  kir::Kernel k = kernels::Registry::global().get("aes");
   SampleFactory f;
   const auto& g1 = f.graph(k);
   const auto& g2 = f.graph(k);
@@ -87,7 +87,8 @@ TEST(SampleFactory, CachesKernelStructures) {
 }
 
 TEST(DatasetBuild, TargetsAndValidityCarriedOver) {
-  auto kernels = std::vector<kir::Kernel>{kernels::make_kernel("spmv-crs")};
+  auto kernels =
+      std::vector<kir::Kernel>{kernels::Registry::global().get("spmv-crs")};
   db::Database database = small_db(kernels, 40);
   Normalizer norm = Normalizer::fit(database.points());
   SampleFactory f;
@@ -130,7 +131,8 @@ TEST(DatasetFolds, ThreeFoldCoversAll) {
 class AllVariantsForward : public ::testing::TestWithParam<ModelKind> {};
 
 TEST_P(AllVariantsForward, ProducesFiniteOutputs) {
-  auto kernels = std::vector<kir::Kernel>{kernels::make_kernel("aes")};
+  auto kernels =
+      std::vector<kir::Kernel>{kernels::Registry::global().get("aes")};
   db::Database database = small_db(kernels, 20);
   Normalizer norm = Normalizer::fit(database.points());
   SampleFactory f;
@@ -176,7 +178,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Training, RegressionLossDecreases) {
   auto kernels =
-      std::vector<kir::Kernel>{kernels::make_kernel("gemm-ncubed")};
+      std::vector<kir::Kernel>{kernels::Registry::global().get("gemm-ncubed")};
   db::Database database = small_db(kernels, 120);
   Normalizer norm = Normalizer::fit(database.points());
   SampleFactory f;
@@ -200,7 +202,8 @@ TEST(Training, RegressionLossDecreases) {
 }
 
 TEST(Training, ClassifierLearnsValidity) {
-  auto kernels = std::vector<kir::Kernel>{kernels::make_kernel("nw")};
+  auto kernels =
+      std::vector<kir::Kernel>{kernels::Registry::global().get("nw")};
   db::Database database = small_db(kernels, 150);
   Normalizer norm = Normalizer::fit(database.points());
   SampleFactory f;
@@ -233,7 +236,8 @@ TEST(Metrics, RegressionRmseHandComputed) {
   // Build a dataset of two samples and a trivially-predictable model? No:
   // check the metric arithmetic itself via a 1-sample dataset and a model
   // prediction read back from predict().
-  auto kernels = std::vector<kir::Kernel>{kernels::make_kernel("aes")};
+  auto kernels =
+      std::vector<kir::Kernel>{kernels::Registry::global().get("aes")};
   db::Database database = small_db(kernels, 10);
   Normalizer norm = Normalizer::fit(database.points());
   SampleFactory f;

@@ -3,6 +3,7 @@
 // report, thread-safety of the registry, and the zero-cost-disabled gate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -407,6 +408,17 @@ TEST_F(ObsTest, ReportEscapesStrings) {
   Json doc = JsonParser(json).parse();
   EXPECT_EQ(doc.at("tool").str, "tool \"quoted\"");
   EXPECT_EQ(doc.at("counters").at("weird\"name\\with\nnewline").num, 1.0);
+}
+
+// A verb typed on the command line lands in "tool" verbatim: control
+// characters must come out escaped, never as raw bytes JSON forbids.
+TEST_F(ObsTest, ReportEscapesControlCharacters) {
+  const std::string json = obs::report_json("li\tst\x01", 0.0);
+  EXPECT_NE(json.find("\"tool\":\"li\\tst\\u0001\""), std::string::npos)
+      << json;
+  EXPECT_TRUE(std::none_of(json.begin(), json.end(), [](char c) {
+    return static_cast<unsigned char>(c) < 0x20;
+  })) << json;
 }
 
 TEST_F(ObsTest, ReportSessionWritesFileAndClosesRootSpan) {

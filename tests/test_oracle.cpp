@@ -16,7 +16,7 @@
 
 #include "db/explorer.hpp"
 #include "dspace/design_space.hpp"
-#include "kernels/kernels.hpp"
+#include "kernels/registry.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -107,8 +107,8 @@ class FlakyEvaluator final : public Evaluator {
 };
 
 TEST(KernelDigest, StableAndSensitiveToStructure) {
-  kir::Kernel a = kernels::make_kernel("gemm-ncubed");
-  kir::Kernel b = kernels::make_kernel("gemm-ncubed");
+  kir::Kernel a = kernels::Registry::global().get("gemm-ncubed");
+  kir::Kernel b = kernels::Registry::global().get("gemm-ncubed");
   EXPECT_EQ(kernel_digest(a), kernel_digest(b));
   EXPECT_EQ(digest_key(a), digest_key(b));
   // The key leads with the kernel name (it rides in the CSV kernel column).
@@ -117,15 +117,16 @@ TEST(KernelDigest, StableAndSensitiveToStructure) {
   // A structural edit — not just a rename — must change the digest.
   b.loops[0].trip_count += 1;
   EXPECT_NE(kernel_digest(a), kernel_digest(b));
-  kir::Kernel c = kernels::make_kernel("gemm-ncubed");
+  kir::Kernel c = kernels::Registry::global().get("gemm-ncubed");
   c.name = "gemm-renamed";
   EXPECT_NE(digest_key(a), digest_key(c));
 
-  EXPECT_NE(kernel_digest(a), kernel_digest(kernels::make_kernel("aes")));
+  EXPECT_NE(kernel_digest(a),
+            kernel_digest(kernels::Registry::global().get("aes")));
 }
 
 TEST(Caching, CachedResultIsBitIdenticalToFresh) {
-  kir::Kernel k = kernels::make_kernel("spmv-crs");
+  kir::Kernel k = kernels::Registry::global().get("spmv-crs");
   SimEvaluator fresh;
   CountingEvaluator counted;
   CachingEvaluator cache(counted);
@@ -139,7 +140,7 @@ TEST(Caching, CachedResultIsBitIdenticalToFresh) {
 }
 
 TEST(Caching, PersistRoundTripServesWithoutFreshEvaluations) {
-  kir::Kernel k = kernels::make_kernel("atax");
+  kir::Kernel k = kernels::Registry::global().get("atax");
   const std::string path = ::testing::TempDir() + "oracle_cache_rt.csv";
   std::remove(path.c_str());
   auto cfgs = sample_configs(k, 30);
@@ -163,8 +164,8 @@ TEST(Caching, PersistRoundTripServesWithoutFreshEvaluations) {
 }
 
 TEST(Caching, KernelEditInvalidatesOnlyThatKernel) {
-  kir::Kernel k = kernels::make_kernel("bicg");
-  kir::Kernel other = kernels::make_kernel("aes");
+  kir::Kernel k = kernels::Registry::global().get("bicg");
+  kir::Kernel other = kernels::Registry::global().get("aes");
   const std::string path = ::testing::TempDir() + "oracle_cache_inval.csv";
   std::remove(path.c_str());
   auto cfgs = sample_configs(k, 10);
@@ -177,7 +178,7 @@ TEST(Caching, KernelEditInvalidatesOnlyThatKernel) {
 
   // Same structure -> warm. Edited structure -> every entry is a miss,
   // while the untouched kernel's entries survive.
-  kir::Kernel edited = kernels::make_kernel("bicg");
+  kir::Kernel edited = kernels::Registry::global().get("bicg");
   edited.loops[0].trip_count *= 2;
   CountingEvaluator counted;
   CachingEvaluator warm(counted, path);
@@ -190,7 +191,7 @@ TEST(Caching, KernelEditInvalidatesOnlyThatKernel) {
 }
 
 TEST(Caching, FaultsAreNeverCached) {
-  kir::Kernel k = kernels::make_kernel("aes");
+  kir::Kernel k = kernels::Registry::global().get("aes");
   AlwaysFaulting faulty;
   CachingEvaluator cache(faulty);
   DesignConfig cfg = DesignConfig::neutral(k);
@@ -201,7 +202,7 @@ TEST(Caching, FaultsAreNeverCached) {
 }
 
 TEST(Fault, DeterministicAtFixedSeed) {
-  kir::Kernel k = kernels::make_kernel("mvt");
+  kir::Kernel k = kernels::Registry::global().get("mvt");
   auto cfgs = sample_configs(k, 200);
 
   auto pattern = [&](std::uint64_t seed) {
@@ -226,7 +227,7 @@ TEST(Fault, DeterministicAtFixedSeed) {
 }
 
 TEST(Fault, RateEndpointsAndRetryReroll) {
-  kir::Kernel k = kernels::make_kernel("aes");
+  kir::Kernel k = kernels::Registry::global().get("aes");
   DesignConfig cfg = DesignConfig::neutral(k);
   SimEvaluator sim;
 
@@ -251,7 +252,7 @@ TEST(Fault, RateEndpointsAndRetryReroll) {
 }
 
 TEST(Retry, AbsorbsTransientFaultsAndBillsBackoff) {
-  kir::Kernel k = kernels::make_kernel("gemm-blocked");
+  kir::Kernel k = kernels::Registry::global().get("gemm-blocked");
   DesignConfig cfg = DesignConfig::neutral(k);
   SimEvaluator sim;
   HlsResult bare = sim.evaluate(k, cfg);
@@ -267,7 +268,7 @@ TEST(Retry, AbsorbsTransientFaultsAndBillsBackoff) {
 }
 
 TEST(Retry, ExhaustionSurfacesFaultNotException) {
-  kir::Kernel k = kernels::make_kernel("aes");
+  kir::Kernel k = kernels::Registry::global().get("aes");
   AlwaysFaulting faulty;
   RetryingEvaluator retry(faulty, 2);
   HlsResult r;
@@ -295,7 +296,7 @@ TEST(Retry, PassesThroughNonFaultFailures) {
   };
   Refusing inner;
   RetryingEvaluator retry(inner, 3);
-  kir::Kernel k = kernels::make_kernel("aes");
+  kir::Kernel k = kernels::Registry::global().get("aes");
   HlsResult r = retry.evaluate(k, DesignConfig::neutral(k));
   EXPECT_EQ(inner.calls, 1);
   EXPECT_EQ(r.invalid_reason.rfind("refused:", 0), 0u);
@@ -303,7 +304,7 @@ TEST(Retry, PassesThroughNonFaultFailures) {
 }
 
 TEST(Batch, MatchesSerialAtEveryThreadCount) {
-  kir::Kernel k = kernels::make_kernel("stencil");
+  kir::Kernel k = kernels::Registry::global().get("stencil");
   auto cfgs = sample_configs(k, 64);
   SimEvaluator serial_sim;
   std::vector<HlsResult> serial;
@@ -322,7 +323,7 @@ TEST(Batch, MatchesSerialAtEveryThreadCount) {
 }
 
 TEST(Stack, FaultFreeStackIsBitIdenticalToBareSubstrate) {
-  kir::Kernel k = kernels::make_kernel("spmv-ellpack");
+  kir::Kernel k = kernels::Registry::global().get("spmv-ellpack");
   OracleOptions opts;  // defaults: no cache file, fault rate 0
   OracleStack stack(opts);
   SimEvaluator bare;
@@ -333,7 +334,7 @@ TEST(Stack, FaultFreeStackIsBitIdenticalToBareSubstrate) {
 TEST(Stack, RecoversFromInjectedFaultsAtModerateRate) {
   // With bounded retries, a 20% per-attempt fault rate still resolves the
   // overwhelming majority of points to their fault-free results.
-  kir::Kernel k = kernels::make_kernel("gemver");
+  kir::Kernel k = kernels::Registry::global().get("gemver");
   OracleOptions opts;
   opts.fault_rate = 0.2;
   opts.retries = 6;
@@ -359,8 +360,8 @@ TEST(WarmStart, SecondDatabaseRunPerformsZeroFreshEvaluations) {
   // substrate zero times and reproduces the database exactly.
   const std::string path = ::testing::TempDir() + "oracle_warmstart.csv";
   std::remove(path.c_str());
-  std::vector<kir::Kernel> kernels{kernels::make_kernel("atax"),
-                                   kernels::make_kernel("spmv-crs")};
+  std::vector<kir::Kernel> kernels{kernels::Registry::global().get("atax"),
+                                   kernels::Registry::global().get("spmv-crs")};
   auto budget = [](const std::string&) { return 50; };
 
   db::Database cold;
@@ -389,7 +390,7 @@ TEST(WarmStart, SecondDatabaseRunPerformsZeroFreshEvaluations) {
 TEST(WarmStart, StackWiresCachePathFromOptions) {
   const std::string path = ::testing::TempDir() + "oracle_stack_cache.csv";
   std::remove(path.c_str());
-  kir::Kernel k = kernels::make_kernel("aes");
+  kir::Kernel k = kernels::Registry::global().get("aes");
   DesignConfig cfg = DesignConfig::neutral(k);
   HlsResult first;
   {

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "dspace/design_space.hpp"
-#include "kernels/kernels.hpp"
+#include "kernels/registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "model/dataset.hpp"
@@ -277,7 +277,7 @@ TEST_F(ParallelFor, EnvThreadRequestClampsToHardwareConcurrency) {
 }
 
 TEST_F(ParallelDeterminism, PredictGraphsBitIdenticalAcrossThreadCounts) {
-  const kir::Kernel kernel = kernels::make_kernel("mvt");
+  const kir::Kernel kernel = kernels::Registry::global().get("mvt");
   model::SampleFactory factory;
   util::Rng rng(11);
   const auto& space = factory.space(kernel);

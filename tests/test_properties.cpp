@@ -7,7 +7,7 @@
 
 #include "db/explorer.hpp"
 #include "hlssim/cost_model.hpp"
-#include "kernels/kernels.hpp"
+#include "kernels/registry.hpp"
 #include "model/trainer.hpp"
 #include "oracle/evaluator.hpp"
 
@@ -17,7 +17,7 @@ namespace {
 class RandomConfigProperties : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(RandomConfigProperties, SimulatorInvariantsHold) {
-  kir::Kernel k = kernels::make_kernel(GetParam());
+  kir::Kernel k = kernels::Registry::global().get(GetParam());
   dspace::DesignSpace space(k);
   hlssim::MerlinHls hls;
   util::Rng rng(101);
@@ -44,7 +44,7 @@ TEST_P(RandomConfigProperties, SimulatorInvariantsHold) {
 }
 
 TEST_P(RandomConfigProperties, MoreParallelNeverReducesResources) {
-  kir::Kernel k = kernels::make_kernel(GetParam());
+  kir::Kernel k = kernels::Registry::global().get(GetParam());
   dspace::DesignSpace space(k);
   hlssim::MerlinHls hls;
   util::Rng rng(202);
@@ -85,8 +85,9 @@ TEST(BatchingInvariance, BatchedEqualsPerGraphPrediction) {
   // The disjoint-union batch must predict exactly what per-graph forward
   // passes predict (attention softmax and pooling are per-graph).
   oracle::SimEvaluator hls;
-  auto kernels = std::vector<kir::Kernel>{kernels::make_kernel("spmv-crs"),
-                                          kernels::make_kernel("aes")};
+  auto kernels =
+      std::vector<kir::Kernel>{kernels::Registry::global().get("spmv-crs"),
+                               kernels::Registry::global().get("aes")};
   util::Rng rng(55);
   db::Database db = db::generate_initial_database(
       kernels, hls, rng, [](const std::string&) { return 30; });
@@ -121,8 +122,8 @@ TEST(BatchingInvariance, EmbeddingsMatchAcrossChunkBoundaries) {
   // embed_graphs chunks at 256; mixing kernels across a chunk must not
   // leak state. Use 2 kernels alternating.
   hlssim::MerlinHls hls;
-  auto k1 = kernels::make_kernel("aes");
-  auto k2 = kernels::make_kernel("spmv-ellpack");
+  auto k1 = kernels::Registry::global().get("aes");
+  auto k2 = kernels::Registry::global().get("spmv-ellpack");
   model::SampleFactory factory;
   model::ModelOptions mo;
   mo.hidden = 16;
@@ -146,7 +147,7 @@ TEST(BatchingInvariance, EmbeddingsMatchAcrossChunkBoundaries) {
 }
 
 TEST(ExplorerProperty, SinkSeesEveryUniqueEvaluation) {
-  kir::Kernel k = kernels::make_kernel("doitgen");
+  kir::Kernel k = kernels::Registry::global().get("doitgen");
   dspace::DesignSpace space(k);
   oracle::SimEvaluator hls;
   db::Explorer ex(k, space, hls);

@@ -1,6 +1,6 @@
-// kernels::Registry: provenance bookkeeping, the unified lookup that
-// make_kernel now delegates to, near-miss suggestions
-// in miss errors, and file/generated registration.
+// kernels::Registry: provenance bookkeeping, the unified lookup every
+// caller uses, near-miss suggestions in miss errors, and file/generated
+// registration.
 #include "kernels/registry.hpp"
 
 #include <gtest/gtest.h>
@@ -35,15 +35,9 @@ TEST(Registry, GlobalHoldsAllCompiledKernels) {
     EXPECT_EQ(reg.entry(f.name).provenance, Provenance::kExtension) << f.name;
 }
 
-TEST(Registry, MakeKernelDelegatesToGlobal) {
-  kir::Kernel a = kernels::make_kernel("gemm-ncubed");
-  kir::Kernel b = Registry::global().get("gemm-ncubed");
-  EXPECT_EQ(oracle::kernel_digest(a), oracle::kernel_digest(b));
-}
-
 TEST(Registry, MissSuggestsNearNames) {
   try {
-    kernels::make_kernel("gemm-ncube");  // one deletion away
+    Registry::global().get("gemm-ncube");  // one deletion away
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
@@ -54,7 +48,7 @@ TEST(Registry, MissSuggestsNearNames) {
 }
 
 TEST(Registry, MissStillThrowsInvalidArgument) {
-  EXPECT_THROW(kernels::make_kernel("definitely-not-a-kernel"),
+  EXPECT_THROW(Registry::global().get("definitely-not-a-kernel"),
                std::invalid_argument);
   EXPECT_THROW(Registry::global().entry("definitely-not-a-kernel"),
                std::invalid_argument);
@@ -62,9 +56,9 @@ TEST(Registry, MissStillThrowsInvalidArgument) {
 
 TEST(Registry, FileKernelsCarryTheirPath) {
   Registry reg;
-  reg.add(kernels::make_kernel("atax"), Provenance::kBuiltin);
+  reg.add(Registry::global().get("atax"), Provenance::kBuiltin);
   const std::string path = ::testing::TempDir() + "reg_file_kernel.json";
-  kir::Kernel k = kernels::make_kernel("bicg");
+  kir::Kernel k = Registry::global().get("bicg");
   k.name = "bicg-from-file";
   frontend::save_kernel_file(k, path);
   EXPECT_EQ(reg.add_file(path), "bicg-from-file");
@@ -104,7 +98,7 @@ TEST(Registry, AddDirectoryRegistersSortedJsonFiles) {
 
 TEST(Registry, AddRejectsInvalidKernels) {
   Registry reg;
-  kir::Kernel k = kernels::make_kernel("aes");
+  kir::Kernel k = Registry::global().get("aes");
   k.loops[0].trip_count = -1;
   EXPECT_THROW(reg.add(std::move(k), Provenance::kGenerated),
                std::invalid_argument);

@@ -20,6 +20,7 @@
 #include "frontend/kernel_json.hpp"
 #include "kernels/generator.hpp"
 #include "model/weights.hpp"
+#include "obs/json_util.hpp"
 #include "obs/metrics.hpp"
 #include "serve/batcher.hpp"
 #include "serve/protocol.hpp"
@@ -82,7 +83,7 @@ TEST(ServeProtocol, ParsesPredictWithConfigAndClient) {
   hlssim::DesignConfig cfg = hlssim::DesignConfig::neutral(k);
   cfg.loops[0].parallel = 2;
   const std::string line = "{\"kind\":\"predict\",\"id\":7,\"client\":\"t1\","
-                           "\"config\":" + serve::json_quote(cfg.key()) +
+                           "\"config\":" + obs::jsonu::quoted(cfg.key()) +
                            ",\"kernel\":" + kernel_json_line(k) + "}";
   Request r = serve::parse_request(line);
   EXPECT_EQ(r.kind, Request::Kind::kPredict);

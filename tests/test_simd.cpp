@@ -14,7 +14,7 @@
 
 #include "gnn/infer.hpp"
 #include "gnn/infer_simd.hpp"
-#include "kernels/kernels.hpp"
+#include "kernels/registry.hpp"
 #include "model/dataset.hpp"
 #include "model/predictive_model.hpp"
 #include "model/trainer.hpp"
@@ -233,8 +233,6 @@ TEST(SimdKernels, FusedKernelsBitIdenticalAcrossLevelsAndThreads) {
     const Tensor q = random_tensor({kN, c}, rng);
     const Tensor k = random_tensor({kN, c}, rng);
     const Tensor ek = random_tensor({kE, c}, rng);
-    const Tensor scores1 = random_tensor({kN, 1}, rng);
-    const Tensor scores2 = random_tensor({kN, 1}, rng);
     const Tensor escores = random_tensor({kE, 1}, rng);
     const Tensor alpha = random_tensor({kE, 1}, rng);
     const auto src = random_indices(static_cast<std::size_t>(kE), kN, rng);
@@ -250,7 +248,7 @@ TEST(SimdKernels, FusedKernelsBitIdenticalAcrossLevelsAndThreads) {
 
     // Scalar single-thread reference for every kernel.
     struct Results {
-      Tensor residual, gated, eattn, epair, wscatter, ssmax;
+      Tensor residual, gated, eattn, wscatter, ssmax;
       Tensor residual_ix, eattn_ix, wscatter_ix;
     };
     auto run = [&](SimdLevel lvl, int threads) {
@@ -262,14 +260,13 @@ TEST(SimdKernels, FusedKernelsBitIdenticalAcrossLevelsAndThreads) {
       r.residual = s.residual_concat(x, y);
       r.gated = s.gated_mix(x, beta, cat);
       r.eattn = s.edge_attention_scores(q, k, ek, src, dst, nullptr, 0.25f);
-      r.epair = s.edge_pair_scores(scores1, scores2, src, dst, 0.2f);
-      r.wscatter = s.weighted_scatter_add(alpha.data(), x, &ek, src, dst,
+      r.wscatter = s.weighted_scatter_add(alpha.data(), x, ek, src, dst,
                                           nullptr, kN);
       r.ssmax = s.segment_softmax(escores, seg, kSegs);
       r.residual_ix = s.residual_concat(x, y, rrow.data());
       r.eattn_ix =
           s.edge_attention_scores(q, k, ek, src, dst, eid.data(), 0.25f);
-      r.wscatter_ix = s.weighted_scatter_add(alpha.data(), x, &ek, src, dst,
+      r.wscatter_ix = s.weighted_scatter_add(alpha.data(), x, ek, src, dst,
                                              eid.data(), kN);
       return r;
     };
@@ -283,7 +280,6 @@ TEST(SimdKernels, FusedKernelsBitIdenticalAcrossLevelsAndThreads) {
         expect_bitwise(ref.residual, got.residual, "residual_concat " + tag);
         expect_bitwise(ref.gated, got.gated, "gated_mix " + tag);
         expect_bitwise(ref.eattn, got.eattn, "edge_attention_scores " + tag);
-        expect_bitwise(ref.epair, got.epair, "edge_pair_scores " + tag);
         expect_bitwise(ref.wscatter, got.wscatter,
                        "weighted_scatter_add " + tag);
         expect_bitwise(ref.ssmax, got.ssmax, "segment_softmax " + tag);
@@ -380,23 +376,6 @@ TEST(SimdKernels, RangeHelpersBitIdenticalOnUnalignedViews) {
           << "edge_attention unaligned " << util::simd_level_name(lvl)
           << " edge " << i;
   }
-
-  // Partial edge range [3, E-2) with unaligned score columns.
-  Tensor sa = random_tensor({r + 1}, rng);
-  Tensor sb = random_tensor({r + 1}, rng);
-  std::vector<float> eref(static_cast<std::size_t>(e), 0.0f);
-  std::vector<float> egot(static_cast<std::size_t>(e), 0.0f);
-  gnn::simd::edge_pair_scores_range(SimdLevel::kScalar, sa.data() + 1,
-                                    sb.data() + 1, src.data(), dst.data(),
-                                    0.2f, eref.data(), 3, e - 2);
-  for (SimdLevel lvl : available_levels()) {
-    std::fill(egot.begin(), egot.end(), 0.0f);
-    gnn::simd::edge_pair_scores_range(lvl, sa.data() + 1, sb.data() + 1,
-                                      src.data(), dst.data(), 0.2f,
-                                      egot.data(), 3, e - 2);
-    EXPECT_EQ(eref, egot) << "edge_pair partial range "
-                          << util::simd_level_name(lvl);
-  }
 }
 
 TEST(SimdKernels, EnvParseAndClamp) {
@@ -447,7 +426,7 @@ TEST(SimdKernels, DispatchCountersAndGaugeTrackActiveLevel) {
 // dispatch level and thread count.
 TEST(SimdDispatchCheck, FastPathPredictionsBitIdenticalAcrossLevels) {
   DispatchGuard guard;
-  kir::Kernel kernel = kernels::make_kernel("spmv-crs");
+  kir::Kernel kernel = kernels::Registry::global().get("spmv-crs");
   model::SampleFactory factory;
   dspace::DesignSpace space(kernel);
   util::Rng crng(7);

@@ -14,7 +14,7 @@
 #include <thread>
 
 #include "dspace/design_space.hpp"
-#include "kernels/kernels.hpp"
+#include "kernels/registry.hpp"
 #include "oracle/evaluator.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
@@ -77,8 +77,8 @@ void expect_same_result(const DseResult& a, const DseResult& b) {
 class SweepFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    kernels_ = {kernels::make_kernel("gemm-ncubed"),
-                kernels::make_kernel("spmv-crs")};
+    kernels_ = {kernels::Registry::global().get("gemm-ncubed"),
+                kernels::Registry::global().get("spmv-crs")};
     database_ = tiny_db(kernels_, 150);
     models_ = std::make_unique<TrainedModels>(database_, kernels_, factory_,
                                               tiny_pipeline());
@@ -154,7 +154,7 @@ TEST_F(SweepFixture, PreCancelledRunReturnsImmediately) {
   // The for_each early-exit satellite: with the flag already set, the run
   // must return without decoding the space (the old enumeration kept
   // walking every raw index after cancel).
-  kir::Kernel big = kernels::make_kernel("gemm-blocked");
+  kir::Kernel big = kernels::Registry::global().get("gemm-blocked");
   DseOptions opts;
   opts.max_exhaustive = std::numeric_limits<std::uint64_t>::max();
   opts.time_limit_seconds = 1e9;
@@ -172,7 +172,7 @@ TEST_F(SweepFixture, PreCancelledRunReturnsImmediately) {
 TEST_F(SweepFixture, CancelMidSweepDropsPendingWork) {
   // Cancel raised mid-sweep: the engine drops pending work, keeps what it
   // already scored, and returns a consistent ranking.
-  kir::Kernel big = kernels::make_kernel("gemm-blocked");
+  kir::Kernel big = kernels::Registry::global().get("gemm-blocked");
   dspace::DesignSpace space(big);
   DseOptions opts;
   opts.top_m = 5;
