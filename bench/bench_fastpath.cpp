@@ -1,16 +1,19 @@
 // Tape vs tape-free inference: one chunk-shaped batched predict of the
 // main regression head through the autodiff tape forward
 // (Trainer::predict_graphs_tape) and through the tape-free fast path
-// (Trainer::predict_graphs), same inputs. Then, per kernel (mvt, doitgen),
-// the same 256-config chunk through the full forward (make_batch, every
-// row) and the pragma-delta forward (SampleFactory::batch_for's row plan),
-// with the share of conv rows the plan computes. Writes
+// (Trainer::predict_graphs), same inputs. Then, per kernel (mvt, doitgen)
+// and chunk shape (uniform draws, for_each order, a beam expansion), the
+// same chunk through the full forward (make_batch, every row) and the
+// row-plan forward (SampleFactory::batch_for's cone-keyed plan, its
+// per-chunk build included), with the share of conv rows the plan
+// computes. Writes
 // BENCH_fastpath.json with the host block (bench_common.hpp).
 #include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -72,9 +75,15 @@ int main() {
   const double fast_per_sec = batch / fast_seconds;
   const double speedup = tape_seconds / fast_seconds;
 
-  // Full vs pragma-delta forward on one 256-config chunk per kernel.
+  // Full vs row-plan forward per kernel on three chunk shapes: uniform
+  // draws, the first 256 configs in for_each order (an exhaustive sweep's
+  // chunk) and a beam chunk (32 base designs times one site's options, as
+  // the §4.4 heuristic expands them; at most 256 configs). Each timed
+  // row-plan forward first marks the plan stale, so it pays the per-chunk
+  // row build (RowPlan::prepare) like a sweep does.
   struct DeltaRow {
-    std::string kernel;
+    std::string kernel, chunk;
+    std::size_t batch;
     double full_per_sec, delta_per_sec, row_share;
   };
   std::vector<DeltaRow> delta_rows;
@@ -82,28 +91,55 @@ int main() {
   const auto layers = static_cast<std::size_t>(po.gnn_layers);
   for (const char* name : {"mvt", "doitgen"}) {
     const kir::Kernel k = kernels::Registry::global().get(name);
-    std::vector<hlssim::DesignConfig> configs;
-    std::vector<gnn::GraphData> chunk_graphs;
-    for (std::size_t i = 0; i < chunk; ++i) {
-      configs.push_back(factory.space(k).sample(rng));
-      chunk_graphs.push_back(factory.featurize(k, configs.back()));
+    const dspace::DesignSpace& ks = factory.space(k);
+    std::vector<std::pair<std::string, std::vector<hlssim::DesignConfig>>>
+        shapes(3);
+    shapes[0].first = "random";
+    for (std::size_t i = 0; i < chunk; ++i)
+      shapes[0].second.push_back(ks.sample(rng));
+    shapes[1].first = "for_each";
+    ks.for_each(
+        [&](hlssim::DesignConfig&& c) {
+          shapes[1].second.push_back(std::move(c));
+          return true;
+        },
+        chunk);
+    shapes[2].first = "beam";
+    const dspace::PragmaSite& site = ks.sites()[ks.sites().size() / 2];
+    for (int b = 0; b < 32; ++b) {
+      const hlssim::DesignConfig base = ks.sample(rng);
+      for (std::int64_t opt : site.options) {
+        hlssim::DesignConfig c = base;
+        dspace::apply_site(site, opt, c);
+        if (!ks.is_pruned(c) && shapes[2].second.size() < chunk)
+          shapes[2].second.push_back(std::move(c));
+      }
     }
-    const gnn::GraphBatch full = gnn::make_batch(
-        std::span<const gnn::GraphData>(chunk_graphs));
-    const gnn::GraphBatch& delta = factory.batch_for(k, configs);
-    trainer->predict_batch(full);
-    const double full_s =
-        median_seconds(reps, [&] { trainer->predict_batch(full); });
-    trainer->predict_batch(delta);
-    const double delta_s =
-        median_seconds(reps, [&] { trainer->predict_batch(delta); });
-    std::int64_t rows = 0;
-    for (std::size_t l = 0; l < layers; ++l)
-      rows += delta.plan->layer(l).num_rows;
-    delta_rows.push_back(
-        {name, chunk / full_s, chunk / delta_s,
-         static_cast<double>(rows) /
-             static_cast<double>(delta.num_nodes * static_cast<std::int64_t>(layers))});
+    for (const auto& [shape, configs] : shapes) {
+      std::vector<gnn::GraphData> chunk_graphs;
+      for (const auto& c : configs)
+        chunk_graphs.push_back(factory.featurize(k, c));
+      const gnn::GraphBatch full = gnn::make_batch(
+          std::span<const gnn::GraphData>(chunk_graphs));
+      const gnn::GraphBatch& delta = factory.batch_for(k, configs);
+      trainer->predict_batch(full);
+      const double full_s =
+          median_seconds(reps, [&] { trainer->predict_batch(full); });
+      trainer->predict_batch(delta);
+      const double delta_s = median_seconds(reps, [&] {
+        delta.plan->refresh();
+        trainer->predict_batch(delta);
+      });
+      std::int64_t rows = 0;
+      for (std::size_t l = 0; l < layers; ++l)
+        rows += delta.plan->layer(l).num_rows;
+      const auto n = static_cast<double>(configs.size());
+      delta_rows.push_back(
+          {name, shape, configs.size(), n / full_s, n / delta_s,
+           static_cast<double>(rows) /
+               static_cast<double>(delta.num_nodes *
+                                   static_cast<std::int64_t>(layers))});
+    }
   }
 
   std::ofstream out("BENCH_fastpath.json");
@@ -120,7 +156,8 @@ int main() {
       << "  \"delta_forward\": [\n";
   for (std::size_t i = 0; i < delta_rows.size(); ++i) {
     const DeltaRow& r = delta_rows[i];
-    out << "    {\"kernel\": \"" << r.kernel << "\", \"batch\": " << chunk
+    out << "    {\"kernel\": \"" << r.kernel << "\", \"chunk\": \""
+        << r.chunk << "\", \"batch\": " << r.batch
         << ", \"full_configs_per_sec\": " << r.full_per_sec
         << ", \"delta_configs_per_sec\": " << r.delta_per_sec
         << ", \"speedup\": " << r.delta_per_sec / r.full_per_sec
@@ -138,10 +175,12 @@ int main() {
              util::Table::fmt(fast_per_sec, 1),
              util::Table::fmt(speedup, 2)});
   table.print(std::cout);
-  util::Table dtable("Full vs pragma-delta forward (256-config chunk)");
-  dtable.header({"kernel", "full cfg/s", "delta cfg/s", "speedup", "row share"});
+  util::Table dtable("Full vs row-plan forward (one chunk)");
+  dtable.header({"kernel", "chunk", "configs", "full cfg/s", "delta cfg/s",
+                 "speedup", "row share"});
   for (const DeltaRow& r : delta_rows)
-    dtable.row({r.kernel, util::Table::fmt(r.full_per_sec, 1),
+    dtable.row({r.kernel, r.chunk, std::to_string(r.batch),
+                util::Table::fmt(r.full_per_sec, 1),
                 util::Table::fmt(r.delta_per_sec, 1),
                 util::Table::fmt(r.delta_per_sec / r.full_per_sec, 2),
                 util::Table::fmt(r.row_share, 3)});

@@ -37,5 +37,5 @@ if ! "$CXX_BIN" -fsanitize=thread -o "$probe_dir/probe" "$probe_dir/probe.cpp" \
 fi
 
 cmake -B "$BUILD_DIR" -S . -DGNNDSE_TSAN=ON
-cmake --build "$BUILD_DIR" --target test_parallel test_obs test_oracle test_fastpath test_simd test_serve test_sweep -j
-ctest --test-dir "$BUILD_DIR" -L tsan --output-on-failure -j
+cmake --build "$BUILD_DIR" --target test_parallel test_obs test_oracle test_fastpath test_simd test_serve test_sweep -j "$(nproc)"
+ctest --test-dir "$BUILD_DIR" -L tsan --output-on-failure -j "$(nproc)"

@@ -5,11 +5,8 @@
 
 namespace gnndse::db {
 
-using dspace::SiteKind;
 using hlssim::DesignConfig;
 using hlssim::HlsResult;
-using hlssim::LoopConfig;
-using hlssim::PipeMode;
 
 double fitness(const HlsResult& r, double util_threshold) {
   if (!r.valid) return std::numeric_limits<double>::infinity();
@@ -43,18 +40,7 @@ std::vector<DesignConfig> site_variants(const dspace::DesignSpace& space,
   std::vector<DesignConfig> out;
   for (std::int64_t opt : site.options) {
     DesignConfig c = base;
-    LoopConfig& lc = c.loops[static_cast<std::size_t>(site.loop)];
-    switch (site.kind) {
-      case SiteKind::kTile:
-        lc.tile = opt;
-        break;
-      case SiteKind::kPipeline:
-        lc.pipeline = static_cast<PipeMode>(opt);
-        break;
-      case SiteKind::kParallel:
-        lc.parallel = opt;
-        break;
-    }
+    dspace::apply_site(site, opt, c);
     if (!space.is_pruned(c)) out.push_back(std::move(c));
   }
   return out;
@@ -68,15 +54,19 @@ DesignConfig Explorer::run_bottleneck(const ExplorerOptions& opts,
   const std::vector<int> order = dspace::priority_ordered_sites(space_);
   DesignConfig best = DesignConfig::neutral(kernel_);
   HlsResult best_r = evaluate(best, sink);
-  if (simulated_seconds) *simulated_seconds += best_r.synth_seconds;
+  double clock = best_r.synth_seconds;
   double best_fit = fitness(best_r, opts.util_threshold);
 
   const int start_evals = evals_;
+  auto out_of_budget = [&] {
+    return evals_ - start_evals >= opts.max_evals ||
+           (opts.time_budget_seconds > 0 && clock >= opts.time_budget_seconds);
+  };
   bool improved = true;
-  while (improved && evals_ - start_evals < opts.max_evals) {
+  while (improved && !out_of_budget()) {
     improved = false;
     for (int site : order) {
-      if (evals_ - start_evals >= opts.max_evals) break;
+      if (out_of_budget()) break;
       // AutoDSE evaluates the candidate batch for the current bottleneck
       // pragma in parallel: simulated time advances by the slowest member.
       double batch_max_seconds = 0.0;
@@ -93,7 +83,7 @@ DesignConfig Explorer::run_bottleneck(const ExplorerOptions& opts,
           round_best = cand;
         }
       }
-      if (simulated_seconds) *simulated_seconds += batch_max_seconds;
+      clock += batch_max_seconds;
       if (round_fit < best_fit) {
         best_fit = round_fit;
         best = round_best;
@@ -101,6 +91,7 @@ DesignConfig Explorer::run_bottleneck(const ExplorerOptions& opts,
       }
     }
   }
+  if (simulated_seconds) *simulated_seconds += clock;
   return best;
 }
 

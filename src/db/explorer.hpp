@@ -35,6 +35,9 @@ struct ExplorerOptions {
   /// neighbor budget per trigger.
   double local_search_trigger = 0.10;
   int local_search_neighbors = 8;
+  /// Bottleneck explorer: stop between candidate batches once this pass's
+  /// simulated synthesis clock reaches this many seconds (<= 0: no budget).
+  double time_budget_seconds = 0.0;
 };
 
 class Explorer {
@@ -45,7 +48,8 @@ class Explorer {
   /// AutoDSE-style greedy sweeps over the priority-ordered pragma sites.
   /// Returns the best configuration found. `simulated_seconds`, when
   /// non-null, accumulates the synthesis wall-clock the HLS tool would
-  /// have consumed (evaluations run in batches of `batch_parallelism`).
+  /// have consumed (each site's candidates synthesize as one parallel
+  /// batch, so a batch costs its slowest member).
   hlssim::DesignConfig run_bottleneck(const ExplorerOptions& opts,
                                       const EvalSink& sink,
                                       double* simulated_seconds = nullptr);

@@ -109,7 +109,8 @@ class ModelDse {
 };
 
 /// AutoDSE baseline (Table 3): the bottleneck explorer against the HLS
-/// oracle, with simulated synthesis wall-clock accounting.
+/// oracle, with simulated synthesis wall-clock accounting, stopped once
+/// that clock reaches `time_budget_seconds`.
 struct AutoDseOutcome {
   hlssim::DesignConfig best;
   double best_cycles = 0.0;

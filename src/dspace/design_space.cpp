@@ -68,20 +68,8 @@ DesignConfig DesignSpace::decode(std::uint64_t index) const {
   DesignConfig cfg = DesignConfig::neutral(*kernel_);
   for (const PragmaSite& s : sites_) {
     const std::uint64_t radix = s.options.size();
-    const std::int64_t opt = s.options[index % radix];
+    apply_site(s, s.options[index % radix], cfg);
     index /= radix;
-    LoopConfig& lc = cfg.loops[static_cast<std::size_t>(s.loop)];
-    switch (s.kind) {
-      case SiteKind::kTile:
-        lc.tile = opt;
-        break;
-      case SiteKind::kPipeline:
-        lc.pipeline = static_cast<PipeMode>(opt);
-        break;
-      case SiteKind::kParallel:
-        lc.parallel = opt;
-        break;
-    }
   }
   return cfg;
 }
@@ -90,20 +78,7 @@ std::uint64_t DesignSpace::encode(const DesignConfig& cfg) const {
   std::uint64_t index = 0;
   std::uint64_t mult = 1;
   for (const PragmaSite& s : sites_) {
-    const LoopConfig& lc = cfg.loops[static_cast<std::size_t>(s.loop)];
-    std::int64_t value;
-    switch (s.kind) {
-      case SiteKind::kTile:
-        value = lc.tile;
-        break;
-      case SiteKind::kPipeline:
-        value = static_cast<std::int64_t>(lc.pipeline);
-        break;
-      case SiteKind::kParallel:
-      default:
-        value = lc.parallel;
-        break;
-    }
+    const std::int64_t value = site_value(s, cfg);
     const auto it = std::find(s.options.begin(), s.options.end(), value);
     if (it == s.options.end())
       throw std::invalid_argument("config value not among site options");
@@ -152,20 +127,7 @@ std::vector<DesignConfig> DesignSpace::neighbors(
     const DesignConfig& cfg) const {
   std::vector<DesignConfig> out;
   for (const PragmaSite& s : sites_) {
-    const LoopConfig& lc = cfg.loops[static_cast<std::size_t>(s.loop)];
-    std::int64_t value;
-    switch (s.kind) {
-      case SiteKind::kTile:
-        value = lc.tile;
-        break;
-      case SiteKind::kPipeline:
-        value = static_cast<std::int64_t>(lc.pipeline);
-        break;
-      case SiteKind::kParallel:
-      default:
-        value = lc.parallel;
-        break;
-    }
+    const std::int64_t value = site_value(s, cfg);
     const auto it = std::find(s.options.begin(), s.options.end(), value);
     if (it == s.options.end()) continue;
     const auto pos = it - s.options.begin();
@@ -174,19 +136,7 @@ std::vector<DesignConfig> DesignSpace::neighbors(
       if (next < 0 || next >= static_cast<std::ptrdiff_t>(s.options.size()))
         continue;
       DesignConfig n = cfg;
-      LoopConfig& nc = n.loops[static_cast<std::size_t>(s.loop)];
-      switch (s.kind) {
-        case SiteKind::kTile:
-          nc.tile = s.options[static_cast<std::size_t>(next)];
-          break;
-        case SiteKind::kPipeline:
-          nc.pipeline = static_cast<PipeMode>(
-              s.options[static_cast<std::size_t>(next)]);
-          break;
-        case SiteKind::kParallel:
-          nc.parallel = s.options[static_cast<std::size_t>(next)];
-          break;
-      }
+      apply_site(s, s.options[static_cast<std::size_t>(next)], n);
       if (!is_pruned(n)) out.push_back(std::move(n));
     }
   }

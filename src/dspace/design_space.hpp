@@ -28,6 +28,39 @@ struct PragmaSite {
   std::vector<std::int64_t> options;
 };
 
+/// Sets `site`'s pragma in `cfg` to the option value `opt`.
+inline void apply_site(const PragmaSite& site, std::int64_t opt,
+                       hlssim::DesignConfig& cfg) {
+  hlssim::LoopConfig& lc = cfg.loops[static_cast<std::size_t>(site.loop)];
+  switch (site.kind) {
+    case SiteKind::kTile:
+      lc.tile = opt;
+      break;
+    case SiteKind::kPipeline:
+      lc.pipeline = static_cast<hlssim::PipeMode>(opt);
+      break;
+    case SiteKind::kParallel:
+      lc.parallel = opt;
+      break;
+  }
+}
+
+/// `site`'s option value in `cfg`.
+inline std::int64_t site_value(const PragmaSite& site,
+                               const hlssim::DesignConfig& cfg) {
+  const hlssim::LoopConfig& lc =
+      cfg.loops[static_cast<std::size_t>(site.loop)];
+  switch (site.kind) {
+    case SiteKind::kTile:
+      return lc.tile;
+    case SiteKind::kPipeline:
+      return static_cast<std::int64_t>(lc.pipeline);
+    case SiteKind::kParallel:
+    default:
+      return lc.parallel;
+  }
+}
+
 class DesignSpace {
  public:
   explicit DesignSpace(const kir::Kernel& kernel);

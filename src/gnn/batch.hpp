@@ -4,9 +4,11 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -43,57 +45,131 @@ struct ConvRows {
   const std::int32_t* rrow = nullptr;
 };
 
-/// One layer of a RowPlan: the layer-k output rows and their in-edges.
+/// One conv layer of a RowPlan's current chunk: its output rows and their
+/// in-edges, as index arrays into the previous layer's rows.
 struct LayerRows {
-  /// C_k: template nodes whose layer-k rows can differ between configs,
-  /// ascending. Output rows are B·|C_k| per-config rows (config b, node
-  /// nodes[j] at b·|C_k| + j) followed by one shared row per other node.
-  std::vector<std::int32_t> nodes;
   std::int64_t num_rows = 0;
   std::vector<std::int32_t> src, dst, qrow, eid;
+  /// Per output row, the input row of the same node (skip connection).
   std::vector<std::int32_t> rrow;
-  /// Batch node (b·N + n) -> its output row.
-  std::vector<std::int32_t> node_row;
 };
 
-/// Pragma-delta row plan for a batch of B copies of one template graph
-/// whose configurations differ only in the rows of the `varying` nodes
-/// (C_0). A node more than k directed hops from every varying node has the
-/// same layer-k row in every copy, so layer k computes B rows for each
-/// node of C_k = C_{k-1} ∪ {dst(e) : src(e) ∈ C_{k-1}} and one shared row
-/// for each other node. Each output row keeps its node's full in-edge list
-/// in template order, so every sum accumulates exactly as in the full
-/// forward and the results are bit-identical to it.
-struct RowPlan {
+/// What the layers after the convs read for a forward of depth d over a
+/// chunk (RowPlan::prepare).
+struct Readout {
+  /// layer_rows[k-1][i], k = 1..d-1: the layer-k row of the node and copy
+  /// that layer-d row i stands for (JKN folds one row per layer-d row).
+  std::vector<std::vector<std::int32_t>> layer_rows;
+  /// Batch node (b·N + n) -> its layer-d row (the pool's gather).
+  std::vector<std::int32_t> node_row;
+  bool built = false;
+};
+
+struct GraphBatch;
+class RowPlan;
+
+/// Builds the row plan of `copies`, a batch of B copies of one graph
+/// (make_batch over B pointers to the same template), for the template
+/// nodes in `varying`, whose rows may differ between copies in columns
+/// [col_begin, col_end) (col_end < 0: every column). The chunk's rows are
+/// built from the batch's x on the first prepare(); after rewriting the
+/// varying rows, call RowPlan::refresh().
+std::shared_ptr<RowPlan> plan_rows(const GraphBatch& copies,
+                                   std::span<const std::int32_t> varying,
+                                   std::int64_t col_begin = 0,
+                                   std::int64_t col_end = -1);
+
+/// Cone-keyed row plan for a batch of B copies of one template graph whose
+/// configurations differ only in some columns of the `varying` nodes' rows
+/// (C_0). The layer-k row of node v depends only on the rows of the
+/// varying nodes in its cone P_k(v) = P_{k-1}(v) ∪ ⋃ P_{k-1}(u) over v's
+/// in-neighbours u (P_0(v) = {v} for a varying node, else empty). So the
+/// copies of v fall into groups that agree on every varying row of
+/// P_k(v), and layer k computes one row per (node, group), reading the
+/// inputs of the group's first copy. Each row keeps its node's full in-edge
+/// list in template order, so every sum accumulates exactly as in the full
+/// forward and every row is bit-identical to the same row there.
+///
+/// The cones depend only on the template and are built with the plan (once
+/// per batch skeleton). The groups, layer-0 rows, edge lists and readouts
+/// depend on the configurations and are rebuilt for each chunk: refresh()
+/// marks them stale, and the first prepare() after it builds them under
+/// the plan's mutex while concurrent callers wait and then reuse them.
+class RowPlan {
+ public:
   /// Plans stop at kMaxDepth layers, the paper's GNN depth, or at the
-  /// first layer where C_k stops growing (deeper layers then repeat that
-  /// layer's arrays). A model deeper than an unsaturated plan runs the
-  /// whole batch instead.
+  /// first layer whose cones equal the previous layer's (saturated: deeper
+  /// layers repeat that layer's arrays). A model deeper than an
+  /// unsaturated plan runs the whole batch instead.
   static constexpr std::size_t kMaxDepth = 6;
 
-  std::int64_t copies = 0;   // B
-  std::int64_t nodes = 0;    // N, template nodes
-  std::vector<std::int32_t> input_nodes;  // C_0, ascending
-  /// Layer-0 input rows: B·|C_0| per-config rows, then the other nodes'
-  /// template rows. refresh() copies the per-config rows from the batch.
-  tensor::Tensor x;
-  tensor::Tensor e;          // template edge features, rows indexed by eid
-  std::vector<LayerRows> layers;  // layers[k-1] computes layer k
-  bool saturated = false;    // C stopped growing within layers
-
+  /// C_0, ascending.
+  const std::vector<std::int32_t>& input_nodes() const { return input_nodes_; }
+  /// Planned conv layers.
+  std::size_t depth() const { return cone_of_.size() - 1; }
+  bool saturated() const { return saturated_; }
   bool covers(std::size_t depth) const {
-    return saturated || depth <= layers.size();
+    return saturated_ || depth <= this->depth();
   }
-  /// Layer `l` (0-based conv index) as a ConvRows view.
+  /// P_k(v) as ascending indices into input_nodes() (layer 0: C_0 itself).
+  const std::vector<std::int32_t>& cone(std::size_t layer,
+                                        std::int32_t node) const;
+
+  /// Marks the chunk's rows stale; call after rewriting the varying rows
+  /// of the batch's x.
+  void refresh();
+  /// Builds the chunk's rows from `x_full` ([B·N, F], the batch's node
+  /// features) on the first call after refresh(), and the readout of a
+  /// depth-`depth` forward on its first request. Thread-safe: concurrent
+  /// forwards over one batch share one build. The chunk views below and
+  /// the returned readout stay valid until the next refresh().
+  const Readout& prepare(const tensor::Tensor& x_full, std::size_t depth);
+
+  /// Layer-0 input rows: one per node and distinct row of that node.
+  const tensor::Tensor& x() const { return x_; }
+  /// Conv layer `l` (0-based) as a ConvRows view.
   ConvRows conv_rows(std::size_t l) const;
   const LayerRows& layer(std::size_t l) const {
-    return layers[std::min(l, layers.size() - 1)];
+    return layers_[std::min(l, layers_.size() - 1)];
   }
-  /// Copies columns [col_begin, col_end) of the varying nodes' rows of
-  /// every copy from `x_full` ([B·N, F], the batch's node features) into
-  /// x; col_end < 0 means every column.
-  void refresh(const tensor::Tensor& x_full, std::int64_t col_begin = 0,
-               std::int64_t col_end = -1);
+  /// Row of copy b's node `node` among layer `layer`'s rows (0: x()).
+  std::int32_t row(std::size_t layer, std::int64_t b, std::int32_t node) const {
+    const std::size_t k = std::min(layer, depth());
+    const auto c = cone_of_[k][static_cast<std::size_t>(node)];
+    return base_[k][static_cast<std::size_t>(node)] +
+           group_[static_cast<std::size_t>(c * copies_ + b)];
+  }
+
+ private:
+  friend std::shared_ptr<RowPlan> plan_rows(const GraphBatch&,
+                                            std::span<const std::int32_t>,
+                                            std::int64_t, std::int64_t);
+  void build(const tensor::Tensor& x_full);  // caller holds mu_
+  void build_readout(std::size_t depth, Readout& out) const;
+
+  // Per skeleton.
+  std::int64_t copies_ = 0, nodes_ = 0;  // B, N (template nodes)
+  std::int64_t col_begin_ = 0, col_end_ = 0;  // columns that vary
+  std::vector<std::int32_t> input_nodes_;
+  tensor::Tensor e_;  // template edge features, rows indexed by eid
+  std::vector<std::int32_t> src_, in_off_, in_edges_;  // template in-CSR
+  std::vector<std::vector<std::int32_t>> cones_;       // distinct cones
+  std::vector<std::vector<std::int32_t>> cone_of_;  // [layer][node] -> cone
+  bool saturated_ = false;
+
+  // Per chunk, rebuilt in place (capacity reused) after each refresh().
+  std::mutex mu_;
+  bool stale_ = true;
+  /// value_[b·|C_0| + j]: copy b's row of input_nodes[j] as an index into
+  /// that node's distinct rows (first-occurrence order).
+  std::vector<std::int32_t> value_, num_values_;
+  /// group_[c·B + b]: copy b's group under cone c, numbered by first copy;
+  /// rep_[rep_off_[c] + g]: the first copy of group g.
+  std::vector<std::int32_t> group_, rep_, rep_off_, scratch_;
+  std::vector<std::vector<std::int32_t>> base_;  // [layer][node] first row
+  tensor::Tensor x_;
+  std::vector<LayerRows> layers_;
+  std::array<Readout, kMaxDepth + 1> readouts_;
 };
 
 /// Disjoint union of a minibatch of graphs.
@@ -128,12 +204,5 @@ GraphBatch make_batch(std::initializer_list<const GraphData*> graphs);
 /// Same, over a contiguous range — callers with a vector<GraphData> (the
 /// DSE chunk loop) skip the pointer-vector indirection.
 GraphBatch make_batch(std::span<const GraphData> graphs);
-
-/// Builds the row plan of `copies`, a batch of B copies of one graph
-/// (make_batch over B pointers to the same template), for the template
-/// nodes in `varying`, with layer-0 rows taken from `copies.x`; after
-/// rewriting the varying rows of a batch's x, call RowPlan::refresh().
-std::shared_ptr<RowPlan> plan_rows(const GraphBatch& copies,
-                                   std::span<const std::int32_t> varying);
 
 }  // namespace gnndse::gnn

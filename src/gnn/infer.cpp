@@ -185,8 +185,8 @@ const Tensor& InferenceSession::sigmoid(const Tensor& a) {
 
 const Tensor& InferenceSession::scatter_add_rows(
     const Tensor& a, const std::vector<std::int32_t>& idx,
-    std::int64_t num_rows) {
-  if (static_cast<std::int64_t>(idx.size()) != a.rows())
+    std::int64_t num_rows, const std::int32_t* rows, const float* alpha) {
+  if (!rows && static_cast<std::int64_t>(idx.size()) != a.rows())
     throw std::invalid_argument("scatter_add_rows: index length != rows");
   const std::int64_t c = a.cols();
   Tensor& out = next({num_rows, c}, /*zero=*/true);
@@ -195,9 +195,14 @@ const Tensor& InferenceSession::scatter_add_rows(
   // Serial on purpose: rows colliding on the same destination accumulate
   // in ascending source order, which defines the result bits.
   for (std::size_t i = 0; i < idx.size(); ++i) {
-    const float* src = ap + static_cast<std::int64_t>(i) * c;
+    const float* src = ap + (rows ? rows[i] : static_cast<std::int64_t>(i)) * c;
     float* dst = op + static_cast<std::int64_t>(idx[i]) * c;
-    for (std::int64_t j = 0; j < c; ++j) dst[j] += src[j];
+    if (alpha) {
+      const float s = alpha[i];
+      for (std::int64_t j = 0; j < c; ++j) dst[j] += s * src[j];
+    } else {
+      for (std::int64_t j = 0; j < c; ++j) dst[j] += src[j];
+    }
   }
   return out;
 }
@@ -261,7 +266,8 @@ const Tensor& InferenceSession::max_list(
   util::parallel_for(out.rows(), row_grain(c), [&](std::int64_t begin,
                                                    std::int64_t end) {
     auto row = [&](std::size_t k, std::int64_t i) {
-      return parts[k]->data() + (rows.empty() ? i : rows[k][i]) * c;
+      return parts[k]->data() +
+             (rows.empty() || !rows[k] ? i : rows[k][i]) * c;
     };
     for (std::int64_t i = begin; i < end; ++i) {
       float* orow = op + i * c;

@@ -62,16 +62,22 @@ class InferenceSession {
   const tensor::Tensor& sigmoid(const tensor::Tensor& a);
 
   // Graph primitives.
+  /// out[idx[i]] += a[i] in ascending i. With `rows`, adds a[rows[i]]
+  /// instead (a row plan's rows gathered into batch-node order); with
+  /// `alpha`, adds alpha[i] * a[..], the product rounded before the add:
+  /// the bits of mul_colbcast followed by scatter_add_rows.
   const tensor::Tensor& scatter_add_rows(const tensor::Tensor& a,
                                          const std::vector<std::int32_t>& idx,
-                                         std::int64_t num_rows);
+                                         std::int64_t num_rows,
+                                         const std::int32_t* rows = nullptr,
+                                         const float* alpha = nullptr);
   const tensor::Tensor& segment_softmax(const tensor::Tensor& scores,
                                         std::span<const std::int32_t> seg,
                                         std::int64_t num_segments);
   /// Elementwise max over `parts`, folded in ascending order. With `rows`
-  /// (one map per part), output row i folds parts[k] row rows[k][i] over
-  /// num_rows output rows: the row-plan JKN, which also gathers one plan
-  /// layer back into batch-node order.
+  /// (one map per part; a null map reads row i), output row i folds
+  /// parts[k] row rows[k][i] over num_rows output rows: the row-plan JKN,
+  /// which with one part is also a row gather.
   const tensor::Tensor& max_list(
       const std::vector<const tensor::Tensor*>& parts,
       const std::vector<const std::int32_t*>& rows = {},

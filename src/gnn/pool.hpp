@@ -7,11 +7,14 @@
 
 namespace gnndse::gnn {
 
-/// Sum of node embeddings per graph: [N, D] -> [B, D].
+/// Sum of node embeddings per graph: [N, D] -> [B, D]. On the fast path,
+/// `node_row` (a row plan's Readout::node_row) maps batch node i to its
+/// row of x; null: x has one row per batch node.
 tensor::VarId sum_pool(tensor::Tape& t, tensor::VarId x, const GraphBatch& b);
 const tensor::Tensor& sum_pool_infer(InferenceSession& s,
                                      const tensor::Tensor& x,
-                                     const GraphBatch& b);
+                                     const GraphBatch& b,
+                                     const std::int32_t* node_row = nullptr);
 
 /// Jumping Knowledge Network, max combine (eq. 9): elementwise max over the
 /// per-layer node embeddings (InferenceSession::max_list on the fast path).
@@ -26,9 +29,13 @@ class AttentionPool : public Module {
   AttentionPool(std::int64_t dim, util::Rng& rng);
 
   tensor::VarId forward(tensor::Tape& t, tensor::VarId x, const GraphBatch& b);
+  /// With `node_row` (see sum_pool_infer), the gate and transform MLPs run
+  /// on x's rows only; the softmax and the weighted sum read every batch
+  /// node through the map.
   const tensor::Tensor& forward_infer(InferenceSession& s,
                                       const tensor::Tensor& x,
-                                      const GraphBatch& b);
+                                      const GraphBatch& b,
+                                      const std::int32_t* node_row = nullptr);
 
   /// Attention scores per node (the softmax output), for Fig 5-style
   /// analysis. Valid after calling forward on the same tape.

@@ -153,8 +153,8 @@ const gnn::GraphBatch& SampleFactory::batch_for(
   const auto kc = cache_for(kernel);  // pins the template against eviction
 
   // MRU skeleton lookup keyed by kernel + digest + batch size. A hit hands
-  // back an already-assembled batch and its row plan, so a chunk skips
-  // make_batch and plan_rows and only rewrites the per-config rows.
+  // back an already-assembled batch and its row plan's cones, so a chunk
+  // skips make_batch and plan_rows and only rewrites the per-config rows.
   auto it = std::find_if(skeletons_.begin(), skeletons_.end(),
                          [&](const Skeleton& s) {
                            return s.kernel == kernel.name &&
@@ -178,9 +178,12 @@ const gnn::GraphBatch& SampleFactory::batch_for(
                                 graphgen::kPragmaVectorPerSite});
     std::vector<const gnn::GraphData*> protos(configs.size(), &proto);
     gnn::GraphBatch batch = gnn::make_batch(protos);
-    // Only pragma-node rows differ between configs: the row plan lets the
-    // fast path compute every other row once per chunk.
-    batch.plan = gnn::plan_rows(batch, kc->graph.pragma_nodes);
+    // Only the pragma slots of pragma-node rows differ between configs:
+    // the row plan lets the fast path compute each distinct row once per
+    // chunk.
+    batch.plan = gnn::plan_rows(batch, kc->graph.pragma_nodes,
+                                graphgen::kPragmaSlotBegin,
+                                graphgen::kPragmaSlotEnd);
     skeletons_.push_front(
         Skeleton{kernel.name, kc->digest, configs.size(), std::move(batch)});
     if (skeletons_.size() > kMaxSkeletons) skeletons_.pop_back();
@@ -200,9 +203,8 @@ const gnn::GraphBatch& SampleFactory::batch_for(
         *kc->space, configs[i], kMaxPragmaSites,
         b.aux.data() + static_cast<std::int64_t>(i) * fa);
   }
-  // The plan's per-config rows differ from the skeleton's only in the
-  // pragma slots.
-  b.plan->refresh(b.x, graphgen::kPragmaSlotBegin, graphgen::kPragmaSlotEnd);
+  // The plan's rows follow on the first forward over this chunk.
+  b.plan->refresh();
   return b;
 }
 

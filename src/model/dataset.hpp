@@ -90,8 +90,9 @@ class SampleFactory {
   /// digest, configs.size()) and only the pragma-dependent feature slots
   /// rewritten per call. Bit-identical to featurizing each config and
   /// calling gnn::make_batch, plus a row plan (gnn::plan_rows over the
-  /// pragma nodes, built with the skeleton) that lets the fast path
-  /// compute each config-independent row once per chunk. Single-consumer:
+  /// pragma nodes, its cones built with the skeleton and its rows on the
+  /// chunk's first forward) that lets the fast path compute each distinct
+  /// row once per chunk. Single-consumer:
   /// the returned reference is valid (and must not be used concurrently)
   /// until the next batch_for() call on the same factory.
   const gnn::GraphBatch& batch_for(const kir::Kernel& kernel,

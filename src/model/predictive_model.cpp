@@ -144,16 +144,19 @@ const tensor::Tensor& PredictiveModel::forward_infer(
 
   // Phase spans split a fast-path forward into its trace-visible stages:
   // message passing (+ JKN), graph pooling, and the prediction head.
-  // With a row plan each conv computes only its plan layer's rows, and
-  // JKN (or a plain gather) maps the last layers back to batch nodes.
+  // With a row plan each conv computes one row per distinct row of its
+  // layer, JKN folds one row per last-layer row, and the pool reads every
+  // batch node through the readout's node map.
   static obs::Gauge& g_share = obs::gauge("gnn.delta_row_share");
-  const gnn::RowPlan* plan =
+  gnn::RowPlan* plan =
       b.plan && b.plan->covers(convs_.size()) ? b.plan.get() : nullptr;
+  const gnn::Readout* readout =
+      plan ? &plan->prepare(b.x, convs_.size()) : nullptr;
   const bool jkn = opts_.kind == ModelKind::kM6TconvJkn ||
                    opts_.kind == ModelKind::kM7Full;
-  const tensor::Tensor* hcur = plan ? &plan->x : &b.x;
+  const tensor::Tensor* hcur = plan ? &plan->x() : &b.x;
   std::vector<const tensor::Tensor*> layer_outputs;
-  std::vector<const std::int32_t*> node_rows;
+  std::vector<const std::int32_t*> layer_rows;
   layer_outputs.reserve(convs_.size());
   std::int64_t rows = 0;
   const tensor::Tensor* node_repr;
@@ -164,27 +167,28 @@ const tensor::Tensor& PredictiveModel::forward_infer(
       auto& conv = static_cast<gnn::TransformerConv&>(*convs_[l]);
       hcur = &s.elu(conv.forward_infer(s, *hcur, r));
       layer_outputs.push_back(hcur);
-      if (plan) node_rows.push_back(plan->layer(l).node_row.data());
+      if (plan)
+        layer_rows.push_back(l < readout->layer_rows.size()
+                                 ? readout->layer_rows[l].data()
+                                 : nullptr);
       rows += r.num_rows;
     }
     node_repr = hcur;
-    if (jkn)
-      node_repr = &s.max_list(layer_outputs, node_rows, b.num_nodes);
-    else if (plan)
-      node_repr = &s.max_list({hcur}, {node_rows.back()}, b.num_nodes);
+    if (jkn) node_repr = &s.max_list(layer_outputs, layer_rows, hcur->rows());
   }
   if (plan)
     obs::set(g_share, static_cast<double>(rows) /
                           static_cast<double>(b.num_nodes) /
                           static_cast<double>(convs_.size()));
 
+  const std::int32_t* node_row = plan ? readout->node_row.data() : nullptr;
   const tensor::Tensor* graph_repr;
   {
     obs::ScopedSpan span("gnn.fastpath.pool");
     if (opts_.kind == ModelKind::kM7Full)
-      graph_repr = &att_pool_->forward_infer(s, *node_repr, b);
+      graph_repr = &att_pool_->forward_infer(s, *node_repr, b, node_row);
     else
-      graph_repr = &gnn::sum_pool_infer(s, *node_repr, b);
+      graph_repr = &gnn::sum_pool_infer(s, *node_repr, b, node_row);
   }
   last_embedding_infer_ = graph_repr;
   obs::ScopedSpan span("gnn.fastpath.head");

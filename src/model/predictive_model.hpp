@@ -58,10 +58,12 @@ class PredictiveModel : public gnn::Module {
 
   /// Tape-free forward over a batch -> [B, out_dim], bit-identical to
   /// forward() at every thread count. A batch with a row plan that covers
-  /// the model's depth (SampleFactory::batch_for) runs the pragma-delta
-  /// forward, with the same bits, and sets the `gnn.delta_row_share`
-  /// gauge. M3/M4 run forward() on a tape instead (only M1, M2 and the
-  /// TransformerConv models have a fast path). The returned reference (and
+  /// the model's depth (SampleFactory::batch_for) runs the cone-keyed
+  /// forward, with the same bits: it builds the chunk's rows on the first
+  /// forward after batch_for (RowPlan::prepare, the `gnn.row_plan_ms`
+  /// histogram) and sets the `gnn.delta_row_share` gauge. M3/M4 run
+  /// forward() on a tape instead (only M1, M2 and the TransformerConv
+  /// models have a fast path). The returned reference (and
   /// last_graph_embedding_infer()) live in the session's workspace until
   /// its next begin(). Fast-path forwards count `gnn.fastpath_forwards`.
   const tensor::Tensor& forward_infer(gnn::InferenceSession& s,

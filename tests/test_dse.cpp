@@ -115,6 +115,20 @@ TEST(AutoDseBaseline, ImprovesAndAccountsTime) {
   EXPECT_LT(out.best_cycles, neutral);
 }
 
+// The budget stops the pass, not just the reported clock: a budget the
+// first synthesis already uses up evaluates only that design, fewer than
+// the 21 h run, and the reported time never exceeds the budget.
+TEST(AutoDseBaseline, BudgetLimitsEvaluations) {
+  kir::Kernel k = kernels::Registry::global().get("atax");
+  oracle::SimEvaluator hls;
+  const AutoDseOutcome tiny = run_autodse_baseline(k, hls, 1.0);
+  const AutoDseOutcome full = run_autodse_baseline(k, hls, 21.0 * 3600.0);
+  EXPECT_EQ(tiny.evals, 1);
+  EXPECT_LT(tiny.evals, full.evals);
+  EXPECT_LE(tiny.simulated_seconds, 1.0);
+  EXPECT_LE(full.simulated_seconds, 21.0 * 3600.0);
+}
+
 TEST(Rounds, ReportsPerRoundDseQuality) {
   // Fig 7 semantics: each round's speedup is the design found by *that*
   // round's DSE vs the initial database best (can dip below 1x early).

@@ -1,6 +1,6 @@
 // Tape-free inference fast path: bit-identity against the autodiff tape
-// across model variants, heads, and thread counts; the pragma-delta
-// forward against the whole-batch forward; template/skeleton cache
+// across model variants, heads, and thread counts; the cone-keyed
+// row-plan forward against the whole-batch forward; template/skeleton cache
 // behaviour; and workspace reuse (no steady-state allocation).
 #include "gnn/infer.hpp"
 #include "model/dataset.hpp"
@@ -12,9 +12,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <iterator>
+#include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dspace/design_space.hpp"
@@ -199,13 +201,49 @@ std::vector<kir::Kernel> delta_kernels() {
   return out;
 }
 
+/// Chunks shaped like the sweeps that feed batch_for, beyond uniform
+/// draws: the first configs in for_each order (an exhaustive sweep), a
+/// chunk of duplicates (5 configs repeated), and a beam-style chunk (four
+/// base designs times every option of one site, as the §4.4 heuristic
+/// expands them).
+std::vector<std::pair<std::string, std::vector<hlssim::DesignConfig>>>
+sweep_chunks(const kir::Kernel& kernel, std::size_t for_each_size) {
+  dspace::DesignSpace space(kernel);
+  std::vector<std::pair<std::string, std::vector<hlssim::DesignConfig>>> out;
+  std::vector<hlssim::DesignConfig> ordered;
+  space.for_each(
+      [&](hlssim::DesignConfig&& c) {
+        ordered.push_back(std::move(c));
+        return ordered.size() < for_each_size;
+      },
+      for_each_size);
+  out.emplace_back("for_each", std::move(ordered));
+  const auto distinct = sample_configs(kernel, 5, 61);
+  std::vector<hlssim::DesignConfig> dups;
+  for (std::size_t i = 0; i < 32; ++i) dups.push_back(distinct[(i * 7) % 5]);
+  out.emplace_back("duplicates", std::move(dups));
+  const auto bases = sample_configs(kernel, 4, 67);
+  const auto& site = space.sites()[space.sites().size() / 2];
+  std::vector<hlssim::DesignConfig> beam;
+  for (const auto& base : bases)
+    for (std::int64_t opt : site.options) {
+      hlssim::DesignConfig c = base;
+      dspace::apply_site(site, opt, c);
+      if (!space.is_pruned(c)) beam.push_back(std::move(c));
+    }
+  out.emplace_back("beam", std::move(beam));
+  return out;
+}
+
 // The row plan batch_for attaches must not change a single bit: the
-// delta forward's predictions and pooled embeddings equal the forward
+// cone-keyed forward's predictions and pooled embeddings equal the forward
 // over the same configs assembled by make_batch (no plan), for every
 // kernel, every GNN variant, tail and full chunk sizes, and 1 or 4
 // threads. Every kernel runs every variant at the tail sizes; the full
 // 256-config chunk runs M7 on every kernel and every variant on three,
-// which keeps the test affordable under the sanitizers.
+// which keeps the test affordable under the sanitizers. Sweep-shaped
+// chunks (sweep_chunks) run M7 on every kernel and every variant on the
+// same three, with for_each chunks of 256 configs there and 64 elsewhere.
 TEST(FastPath, DeltaForwardBitIdenticalToFullForward) {
   ThreadGuard guard;
   struct Variant {
@@ -228,53 +266,63 @@ TEST(FastPath, DeltaForwardBitIdenticalToFullForward) {
   }
   SampleFactory factory;
   gnn::InferenceSession full_s, delta_s;
-  for (const kir::Kernel& kernel : delta_kernels()) {
-    for (std::size_t chunk : {1, 7, 256}) {
-      const auto configs = sample_configs(kernel, chunk, chunk + 5);
-      const auto graphs = featurize_all(factory, kernel, configs);
-      const gnn::GraphBatch full = gnn::make_batch(pointers(graphs));
-      const gnn::GraphBatch& delta = factory.batch_for(kernel, configs);
-      ASSERT_FALSE(full.plan);
-      ASSERT_TRUE(delta.plan && delta.plan->covers(6)) << kernel.name;
-      for (std::size_t m = 0; m < models.size(); ++m) {
-        if (chunk == 256 && m != kM7 &&
-            std::find(std::begin(every_variant), std::end(every_variant),
-                      kernel.name) == std::end(every_variant))
-          continue;
-        // The full forward is thread-count invariant (tested above).
-        util::set_parallel_threads(1);
-        const tensor::Tensor& want = models[m]->forward_infer(full_s, full);
-        const tensor::Tensor& want_emb =
-            models[m]->last_graph_embedding_infer();
-        for (int threads : {1, 4}) {
-          util::set_parallel_threads(threads);
-          const std::string tag = kernel.name + " " +
-                                  to_string(variants[m].kind) +
-                                  (variants[m].gated ? "" : " ungated") +
-                                  " chunk=" + std::to_string(chunk) +
-                                  " threads=" + std::to_string(threads);
-          const tensor::Tensor& got = models[m]->forward_infer(delta_s, delta);
-          expect_same_bytes(want, got, tag);
-          expect_same_bytes(want_emb, models[m]->last_graph_embedding_infer(),
-                            tag + " embedding");
-        }
+  auto check = [&](const kir::Kernel& kernel,
+                   const std::vector<hlssim::DesignConfig>& configs,
+                   const std::string& what, bool all_variants) {
+    const auto graphs = featurize_all(factory, kernel, configs);
+    const gnn::GraphBatch full = gnn::make_batch(pointers(graphs));
+    const gnn::GraphBatch& delta = factory.batch_for(kernel, configs);
+    ASSERT_FALSE(full.plan);
+    ASSERT_TRUE(delta.plan && delta.plan->covers(6)) << kernel.name;
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      if (!all_variants && m != kM7) continue;
+      // The full forward is thread-count invariant (tested above).
+      util::set_parallel_threads(1);
+      const tensor::Tensor& want = models[m]->forward_infer(full_s, full);
+      const tensor::Tensor& want_emb = models[m]->last_graph_embedding_infer();
+      for (int threads : {1, 4}) {
+        util::set_parallel_threads(threads);
+        const std::string tag = kernel.name + " " +
+                                to_string(variants[m].kind) +
+                                (variants[m].gated ? "" : " ungated") + " " +
+                                what + " threads=" + std::to_string(threads);
+        const tensor::Tensor& got = models[m]->forward_infer(delta_s, delta);
+        expect_same_bytes(want, got, tag);
+        expect_same_bytes(want_emb, models[m]->last_graph_embedding_infer(),
+                          tag + " embedding");
       }
     }
+  };
+  for (const kir::Kernel& kernel : delta_kernels()) {
+    const bool all = std::find(std::begin(every_variant),
+                               std::end(every_variant),
+                               kernel.name) != std::end(every_variant);
+    for (std::size_t chunk : {1, 7, 256})
+      check(kernel, sample_configs(kernel, chunk, chunk + 5),
+            "chunk=" + std::to_string(chunk), chunk != 256 || all);
+    for (const auto& [what, configs] : sweep_chunks(kernel, all ? 256 : 64))
+      check(kernel, configs, what, all);
   }
 }
 
-// The premise behind the plan: in the whole-batch forward, a node outside
-// C_k has the same layer-k row for every configuration. Two configs of
-// one kernel, six TransformerConv layers, rows compared bit for bit.
-TEST(FastPath, RowsOutsidePlanSetAgreeAcrossConfigs) {
+// The premise behind the plan: in the whole-batch forward, copies of a
+// node whose plan rows coincide (they agree on every pragma row of the
+// node's cone) have the same row at that layer. Six TransformerConv
+// layers over a chunk with repeated and single-site-apart configs, rows
+// compared bit for bit at every layer.
+TEST(FastPath, RowsWithEqualIdsAgreeOnFullForward) {
   for (const char* name : {"doitgen", "gesummv", "2mm"}) {
     kir::Kernel kernel = kernels::Registry::global().get(name);
     SampleFactory factory;
-    const auto configs = sample_configs(kernel, 2, 19);
+    auto configs = sweep_chunks(kernel, 8)[2].second;  // beam-style
+    configs.push_back(configs.front());
     const auto graphs = featurize_all(factory, kernel, configs);
     const gnn::GraphBatch full = gnn::make_batch(pointers(graphs));
-    const gnn::RowPlan& plan = *factory.batch_for(kernel, configs).plan;
+    const gnn::GraphBatch& batch = factory.batch_for(kernel, configs);
+    gnn::RowPlan& plan = *batch.plan;
+    plan.prepare(batch.x, 6);
     const std::int64_t n = full.node_offset[1];
+    const auto copies = static_cast<std::int64_t>(configs.size());
 
     util::Rng rng(3);
     std::vector<std::unique_ptr<gnn::TransformerConv>> convs;
@@ -284,17 +332,26 @@ TEST(FastPath, RowsOutsidePlanSetAgreeAcrossConfigs) {
     gnn::InferenceSession s;
     s.begin();
     const tensor::Tensor* h = &full.x;
+    std::int64_t shared = 0;
     for (std::size_t l = 0; l < convs.size(); ++l) {
       h = &s.elu(convs[l]->forward_infer(s, *h, full.conv_rows()));
-      const auto& c_k = plan.layer(l).nodes;
       for (std::int64_t i = 0; i < n; ++i) {
-        if (std::binary_search(c_k.begin(), c_k.end(), i)) continue;
-        EXPECT_EQ(std::memcmp(h->data() + i * 16, h->data() + (n + i) * 16,
-                              16 * sizeof(float)),
-                  0)
-            << name << " layer " << l + 1 << " node " << i;
+        // The first copy with each row of node i at layer l + 1.
+        std::map<std::int32_t, std::int64_t> first;
+        for (std::int64_t b = 0; b < copies; ++b) {
+          const auto [it, fresh] = first.emplace(
+              plan.row(l + 1, b, static_cast<std::int32_t>(i)), b);
+          if (fresh) continue;
+          ++shared;
+          EXPECT_EQ(std::memcmp(h->data() + (it->second * n + i) * 16,
+                                h->data() + (b * n + i) * 16,
+                                16 * sizeof(float)),
+                    0)
+              << name << " layer " << l + 1 << " node " << i << " copy " << b;
+        }
       }
     }
+    EXPECT_GT(shared, 0) << name;
   }
 }
 

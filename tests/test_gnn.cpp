@@ -1,4 +1,4 @@
-// GNN library: batching invariants, pragma-delta row plans, layer shapes
+// GNN library: batching invariants, cone-keyed row plans, layer shapes
 // and gradient flow, and a learnability check — each conv kind must be
 // able to separate two graph classes that differ only structurally.
 #include "gnn/batch.hpp"
@@ -9,10 +9,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <set>
+#include <string>
 #include <utility>
 
+#include "dspace/design_space.hpp"
+#include "graphgen/featurize.hpp"
+#include "kernels/registry.hpp"
+#include "model/dataset.hpp"
 #include "tensor/adam.hpp"
+#include "util/rng.hpp"
 
 namespace gnndse::gnn {
 namespace {
@@ -102,94 +112,219 @@ GraphData graph_of(std::int64_t n,
   return g;
 }
 
-/// Row of `node` for copy b in a plan layer whose varying set is `set`:
-/// per-copy rows first, then one shared row per other node.
-std::int32_t row_of(const std::vector<std::int32_t>& set, std::int64_t copies,
-                    std::int64_t b, std::int32_t node) {
-  const auto it = std::lower_bound(set.begin(), set.end(), node);
-  const auto below = static_cast<std::int32_t>(it - set.begin());
-  const auto size = static_cast<std::int32_t>(set.size());
-  if (it != set.end() && *it == node)
-    return static_cast<std::int32_t>(b) * size + below;
-  return static_cast<std::int32_t>(copies) * size + node - below;
+/// B copies of `tpl` whose varying nodes carry copy b's value
+/// value(b, v) in column 1, the only column the plans below let vary.
+template <typename Value>
+GraphBatch copies_of(const GraphData& tpl, std::int64_t copies,
+                     const std::vector<std::int32_t>& varying, Value value) {
+  std::vector<const GraphData*> ptrs(static_cast<std::size_t>(copies), &tpl);
+  GraphBatch batch = make_batch(ptrs);
+  const std::int64_t n = tpl.x.rows();
+  for (std::int64_t b = 0; b < copies; ++b)
+    for (std::int32_t v : varying) batch.x.at(b * n + v, 1) = value(b, v);
+  return batch;
 }
 
-/// Checks plan_rows on 3 copies of `tpl` against the expected sets C_0..C_K
-/// (the plan saturates at layer K): monotone sets, and every output row's
-/// in-edges complete and in template order.
-void check_plan(const GraphData& tpl, const std::vector<std::int32_t>& varying,
-                const std::vector<std::vector<std::int32_t>>& want) {
-  const std::int64_t copies = 3;
-  const GraphBatch batch = make_batch({&tpl, &tpl, &tpl});
-  const auto plan = plan_rows(batch, varying);
-  const std::int64_t n = tpl.x.rows();
-  const auto ne = static_cast<std::int32_t>(tpl.src.size());
-  EXPECT_EQ(plan->input_nodes, want[0]);
-  ASSERT_EQ(plan->layers.size(), want.size() - 1);
-  EXPECT_TRUE(plan->saturated);
-  for (std::size_t k = 1; k < want.size(); ++k) {
-    SCOPED_TRACE("layer " + std::to_string(k));
-    const LayerRows& lr = plan->layers[k - 1];
-    const auto& prev = want[k - 1];
-    EXPECT_EQ(lr.nodes, want[k]);
-    EXPECT_TRUE(std::includes(lr.nodes.begin(), lr.nodes.end(), prev.begin(),
-                              prev.end()));
-    EXPECT_EQ(lr.num_rows, copies * static_cast<std::int64_t>(want[k].size()) +
-                               n - static_cast<std::int64_t>(want[k].size()));
-    // Expected edge lists, row by row; shared rows are computed once (as
-    // copy 0).
-    std::vector<std::int32_t> src, dst, qrow, eid;
-    std::vector<std::pair<std::int32_t, std::int32_t>> rows;  // (b, node)
-    for (std::int64_t b = 0; b < copies; ++b)
-      for (std::int32_t node : want[k]) rows.push_back({static_cast<std::int32_t>(b), node});
-    for (std::int32_t node = 0; node < n; ++node)
-      if (!std::binary_search(want[k].begin(), want[k].end(), node))
-        rows.push_back({0, node});
-    for (const auto& [b, node] : rows) {
-      const std::int32_t out = row_of(want[k], copies, b, node);
-      const std::int32_t self = row_of(prev, copies, b, node);
-      EXPECT_EQ(lr.rrow[static_cast<std::size_t>(out)], self);
-      for (std::int32_t e = 0; e < ne; ++e) {
-        if (tpl.dst[static_cast<std::size_t>(e)] != node) continue;
-        const std::int32_t from =
-            row_of(prev, copies, b, tpl.src[static_cast<std::size_t>(e)]);
-        src.push_back(from);
-        dst.push_back(out);
-        qrow.push_back(self);
-        eid.push_back(e);
-      }
-    }
-    EXPECT_EQ(lr.src, src);
-    EXPECT_EQ(lr.dst, dst);
-    EXPECT_EQ(lr.qrow, qrow);
-    EXPECT_EQ(lr.eid, eid);
-    for (std::int64_t b = 0; b < copies; ++b)
-      for (std::int32_t node = 0; node < n; ++node)
-        EXPECT_EQ(lr.node_row[static_cast<std::size_t>(b * n + node)],
-                  row_of(want[k], copies, b, node));
+/// P_k(v) by brute force: the varying nodes with a directed path of at
+/// most k edges to v (v itself included).
+std::vector<std::int32_t> brute_cone(const GraphData& tpl,
+                                     const std::vector<std::int32_t>& inputs,
+                                     std::size_t k, std::int32_t v) {
+  std::vector<char> reach(static_cast<std::size_t>(tpl.x.rows()), 0);
+  reach[static_cast<std::size_t>(v)] = 1;
+  for (std::size_t step = 0; step < k; ++step) {
+    std::vector<char> next = reach;
+    for (std::size_t e = 0; e < tpl.src.size(); ++e)
+      if (reach[static_cast<std::size_t>(tpl.dst[e])])
+        next[static_cast<std::size_t>(tpl.src[e])] = 1;
+    reach = std::move(next);
   }
+  std::vector<std::int32_t> cone;
+  for (std::size_t j = 0; j < inputs.size(); ++j)
+    if (reach[static_cast<std::size_t>(inputs[j])])
+      cone.push_back(static_cast<std::int32_t>(j));
+  return cone;
+}
+
+/// Checks the plan of `batch` (copies of `tpl`) against brute force, layer
+/// by layer: the cones; a row count equal to the number of groups of
+/// copies that agree on the varying rows of each node's cone; copies of a
+/// node sharing a row exactly when they agree on those rows; every row's
+/// in-edges complete and in template order, read from rows of the same
+/// copy, so copies sharing a row share its inputs; the layer-0 rows; and
+/// the readouts. Returns the rows per layer, layer 1 first.
+std::vector<std::int64_t> check_plan(const GraphData& tpl,
+                                     const GraphBatch& batch, RowPlan& plan,
+                                     std::int64_t col_begin,
+                                     std::int64_t col_end) {
+  const std::int64_t copies = batch.num_graphs, n = tpl.x.rows();
+  const std::int64_t f = tpl.x.cols();
+  plan.prepare(batch.x, RowPlan::kMaxDepth);
+  const std::vector<std::int32_t>& inputs = plan.input_nodes();
+  // Copy b's varying columns of input node j.
+  auto varying = [&](std::int64_t b, std::int32_t j) {
+    const float* row =
+        batch.x.data() + (b * n + inputs[static_cast<std::size_t>(j)]) * f;
+    return std::vector<float>(row + col_begin, row + col_end);
+  };
+  for (std::int64_t b = 0; b < copies; ++b)
+    for (std::int32_t v = 0; v < n; ++v)
+      EXPECT_EQ(std::memcmp(plan.x().data() + plan.row(0, b, v) * f,
+                            batch.x.data() + (b * n + v) * f,
+                            static_cast<std::size_t>(f) * sizeof(float)),
+                0)
+          << "layer-0 row of copy " << b << " node " << v;
+  std::vector<std::int64_t> counts;
+  for (std::size_t k = 0; k <= plan.depth(); ++k) {
+    SCOPED_TRACE("layer " + std::to_string(k));
+    std::int64_t groups = 0;
+    for (std::int32_t v = 0; v < n; ++v) {
+      const auto cone = brute_cone(tpl, inputs, k, v);
+      EXPECT_EQ(plan.cone(k, v), cone) << "node " << v;
+      std::map<std::vector<std::vector<float>>, std::int32_t> row_of_key;
+      for (std::int64_t b = 0; b < copies; ++b) {
+        std::vector<std::vector<float>> key;
+        for (std::int32_t j : cone) key.push_back(varying(b, j));
+        const auto [it, fresh] = row_of_key.emplace(key, plan.row(k, b, v));
+        groups += fresh;
+        // Same key, same row; a new key, a row no other key has.
+        EXPECT_EQ(it->second, plan.row(k, b, v))
+            << "copy " << b << " node " << v;
+      }
+      std::set<std::int32_t> distinct;
+      for (const auto& kv : row_of_key) distinct.insert(kv.second);
+      EXPECT_EQ(distinct.size(), row_of_key.size()) << "node " << v;
+    }
+    if (k == 0) {
+      EXPECT_EQ(plan.x().rows(), groups);
+      continue;
+    }
+    const LayerRows& lr = plan.layer(k - 1);
+    EXPECT_EQ(lr.num_rows, groups);
+    counts.push_back(lr.num_rows);
+    // Each row's edges, collected in list order.
+    std::vector<std::vector<std::array<std::int32_t, 3>>> edges(
+        static_cast<std::size_t>(lr.num_rows));
+    for (std::size_t i = 0; i < lr.src.size(); ++i)
+      edges[static_cast<std::size_t>(lr.dst[i])].push_back(
+          {lr.src[i], lr.qrow[i], lr.eid[i]});
+    for (std::int64_t b = 0; b < copies; ++b)
+      for (std::int32_t v = 0; v < n; ++v) {
+        const std::int32_t out = plan.row(k, b, v);
+        const std::int32_t self = plan.row(k - 1, b, v);
+        EXPECT_EQ(lr.rrow[static_cast<std::size_t>(out)], self);
+        std::vector<std::array<std::int32_t, 3>> want;
+        for (std::size_t e = 0; e < tpl.src.size(); ++e)
+          if (tpl.dst[e] == v)
+            want.push_back({plan.row(k - 1, b, tpl.src[e]), self,
+                            static_cast<std::int32_t>(e)});
+        EXPECT_EQ(edges[static_cast<std::size_t>(out)], want)
+            << "copy " << b << " node " << v;
+      }
+  }
+  for (std::size_t d = 1; d <= plan.depth(); ++d) {
+    const Readout& r = plan.prepare(batch.x, d);
+    EXPECT_EQ(r.layer_rows.size(), d - 1);
+    if (r.layer_rows.size() != d - 1) continue;
+    for (std::int64_t b = 0; b < copies; ++b)
+      for (std::int32_t v = 0; v < n; ++v) {
+        const std::int32_t last = plan.row(d, b, v);
+        EXPECT_EQ(r.node_row[static_cast<std::size_t>(b * n + v)], last);
+        for (std::size_t k = 1; k < d; ++k)
+          EXPECT_EQ(r.layer_rows[k - 1][static_cast<std::size_t>(last)],
+                    plan.row(k, b, v));
+      }
+  }
+  return counts;
+}
+
+/// Copies whose varying nodes repeat with different periods, so cones of
+/// different nodes split the copies differently.
+float mixed(std::int64_t b, std::int32_t v) {
+  return static_cast<float>((b / (v % 3 + 1)) % 3);
 }
 
 TEST(RowPlan, ChainGrowsOneHopPerLayer) {
-  check_plan(graph_of(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}}), {0},
-             {{0}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}, {0, 1, 2, 3, 4},
-              {0, 1, 2, 3, 4}});
+  const GraphData g = graph_of(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
+  // Copies 0 and 2 agree on node 0, copy 1 differs: two rows for each
+  // node within k hops of node 0, one for the others.
+  const GraphBatch batch =
+      copies_of(g, 3, {0}, [](std::int64_t b, std::int32_t) {
+        return static_cast<float>(b % 2);
+      });
+  const auto plan = plan_rows(batch, std::vector<std::int32_t>{0}, 1, 2);
+  EXPECT_EQ(plan->depth(), 5u);
+  EXPECT_TRUE(plan->saturated());
+  EXPECT_EQ(check_plan(g, batch, *plan, 1, 2),
+            (std::vector<std::int64_t>{7, 8, 9, 10, 10}));
 }
 
 TEST(RowPlan, FanInKeepsEveryInEdgeInOrder) {
-  // Node 0 has three in-edges, only one from the varying node: its row
-  // must still aggregate all three, in edge order.
-  check_plan(graph_of(5, {{1, 0}, {2, 0}, {0, 4}, {3, 0}}), {2},
-             {{2}, {0, 2}, {0, 2, 4}, {0, 2, 4}});
+  // Node 0 has three in-edges, two from varying nodes: its rows group
+  // the copies by both, and each aggregates all three edges in order.
+  const GraphData g = graph_of(5, {{1, 0}, {2, 0}, {0, 4}, {3, 0}});
+  const GraphBatch batch = copies_of(g, 6, {2, 3}, mixed);
+  const auto plan = plan_rows(batch, std::vector<std::int32_t>{2, 3}, 1, 2);
+  EXPECT_TRUE(plan->saturated());
+  check_plan(g, batch, *plan, 1, 2);
 }
 
 TEST(RowPlan, CycleSaturates) {
-  check_plan(graph_of(4, {{0, 1}, {1, 2}, {2, 0}, {3, 0}}), {1},
-             {{1}, {1, 2}, {0, 1, 2}, {0, 1, 2}});
+  const GraphData g = graph_of(4, {{0, 1}, {1, 2}, {2, 0}, {3, 0}});
+  const GraphBatch batch = copies_of(g, 6, {1, 3}, mixed);
+  const auto plan = plan_rows(batch, std::vector<std::int32_t>{1, 3}, 1, 2);
+  EXPECT_TRUE(plan->saturated());
+  EXPECT_EQ(plan->depth(), 4u);
+  check_plan(g, batch, *plan, 1, 2);
 }
 
 TEST(RowPlan, IsolatedPragmaNodeStaysAlone) {
-  check_plan(graph_of(4, {{0, 1}, {1, 2}}), {3, 3}, {{3}, {3}});
+  const GraphData g = graph_of(4, {{0, 1}, {1, 2}});
+  const GraphBatch batch =
+      copies_of(g, 3, {3}, [](std::int64_t b, std::int32_t) {
+        return static_cast<float>(b);
+      });
+  const auto plan = plan_rows(batch, std::vector<std::int32_t>{3, 3}, 1, 2);
+  EXPECT_EQ(plan->input_nodes(), (std::vector<std::int32_t>{3}));
+  EXPECT_EQ(plan->depth(), 1u);
+  EXPECT_TRUE(plan->saturated());
+  EXPECT_EQ(check_plan(g, batch, *plan, 1, 2), (std::vector<std::int64_t>{6}));
+}
+
+// A real kernel's skeleton: atax's pragma nodes, configs from its space.
+TEST(RowPlan, KernelChunkMatchesBruteForceGroups) {
+  const kir::Kernel kernel = kernels::Registry::global().get("atax");
+  model::SampleFactory factory;
+  dspace::DesignSpace space(kernel);
+  util::Rng rng(3);
+  std::vector<hlssim::DesignConfig> configs;
+  for (int i = 0; i < 24; ++i) configs.push_back(space.sample(rng));
+  configs.push_back(configs[5]);  // a duplicate config
+  const GraphBatch& batch = factory.batch_for(kernel, configs);
+  GraphData tpl = factory.featurize(kernel, configs[0]);
+  check_plan(tpl, batch, *batch.plan, graphgen::kPragmaSlotBegin,
+             graphgen::kPragmaSlotEnd);
+}
+
+// Identical configs share every row, and a single config has one row per
+// node: both compute exactly N rows per layer.
+TEST(RowPlan, IdenticalOrSingleConfigsComputeNRowsPerLayer) {
+  const kir::Kernel kernel = kernels::Registry::global().get("doitgen");
+  model::SampleFactory factory;
+  dspace::DesignSpace space(kernel);
+  util::Rng rng(5);
+  const hlssim::DesignConfig cfg = space.sample(rng);
+  for (std::size_t chunk : {256, 1}) {
+    const std::vector<hlssim::DesignConfig> configs(chunk, cfg);
+    const GraphBatch& batch = factory.batch_for(kernel, configs);
+    RowPlan& plan = *batch.plan;
+    plan.prepare(batch.x, RowPlan::kMaxDepth);
+    const std::int64_t n = batch.num_nodes / static_cast<std::int64_t>(chunk);
+    EXPECT_EQ(plan.x().rows(), n);
+    for (std::size_t l = 0; l < plan.depth(); ++l)
+      EXPECT_EQ(plan.layer(l).num_rows, n)
+          << "chunk " << chunk << " layer " << l + 1;
+  }
 }
 
 TEST(RowPlan, DepthCapLeavesDeeperModelsUncovered) {
@@ -197,8 +332,8 @@ TEST(RowPlan, DepthCapLeavesDeeperModelsUncovered) {
   for (std::int32_t i = 0; i + 1 < 12; ++i) chain.push_back({i, i + 1});
   const GraphData g = graph_of(12, chain);
   const auto plan = plan_rows(make_batch({&g, &g}), std::vector<std::int32_t>{0});
-  EXPECT_EQ(plan->layers.size(), RowPlan::kMaxDepth);
-  EXPECT_FALSE(plan->saturated);
+  EXPECT_EQ(plan->depth(), RowPlan::kMaxDepth);
+  EXPECT_FALSE(plan->saturated());
   EXPECT_TRUE(plan->covers(RowPlan::kMaxDepth));
   EXPECT_FALSE(plan->covers(RowPlan::kMaxDepth + 1));
 }
